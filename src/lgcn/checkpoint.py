@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -18,6 +20,7 @@ CKPT_MAGIC = b"LGCNCKPT"
 DESC_MAGIC = b"LGCNDESC"
 CKPT_VERSION = 1
 DESC_VERSION = 1
+_DESC_HEAD = "<IQQB"  # version, count, dim, precision (bytes per scalar)
 
 _DTYPE_CODES = {0: "<f8", 1: "<f4"}
 _DTYPE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -49,30 +52,45 @@ def save_checkpoint(path, params: dict, header: dict) -> None:
             fh.write(arr.astype(_DTYPE_CODES[_DTYPE_FOR[arr.dtype]]).tobytes())
 
 
+def _read(fh, n: int, what: str) -> bytes:
+    """Exactly n bytes of a fixed-size field; never reads past the file's end."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"{fh.name}: truncated {what}")
+    return fh.read(n)
+
+
+def _unpack(fh, fmt: str, what: str):
+    (value,) = struct.unpack(fmt, _read(fh, struct.calcsize(fmt), what))
+    return value
+
+
 def load_checkpoint(path):
     """Returns (params dict, header dict)."""
     with open(path, "rb") as fh:
         if fh.read(8) != CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = _unpack(fh, "<I", "version")
         if version != CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<Q", fh.read(8))
+        raw = _read(fh, _unpack(fh, "<I", "header length"), "header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        count = _unpack(fh, "<Q", "tensor count")
         params = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (code,) = struct.unpack("<B", fh.read(1))
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+            name = _read(fh, _unpack(fh, "<I", "name length"), "tensor name").decode("utf-8")
+            code = _unpack(fh, "<B", f"dtype of {name!r}")
+            if code not in _DTYPE_CODES:
+                raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = np.dtype(_DTYPE_CODES[code])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n * dtype.itemsize)
-            if len(raw) != n * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            data = np.frombuffer(raw, dtype=dtype)
+            ndim = _unpack(fh, "<I", f"rank of {name!r}")
+            shape = tuple(_unpack(fh, "<Q", f"shape of {name!r}") for _ in range(ndim))
+            n = math.prod(shape)
+            data = np.frombuffer(_read(fh, n * dtype.itemsize, f"tensor {name!r}"), dtype=dtype)
             params[name] = data.reshape(shape).astype(dtype.newbyteorder("="))
         return params, header
 
@@ -98,11 +116,7 @@ def save_descriptors(path, vectors: np.ndarray, precision: int = 8) -> None:
         raise CheckpointError("descriptor dump expects a (count, dim) array")
     dtype = "<f8" if precision == 8 else "<f4"
     with open(path, "wb") as fh:
-        fh.write(DESC_MAGIC)
-        fh.write(struct.pack("<I", DESC_VERSION))
-        fh.write(struct.pack("<Q", arr.shape[0]))
-        fh.write(struct.pack("<Q", arr.shape[1]))
-        fh.write(struct.pack("<B", precision))
+        fh.write(DESC_MAGIC + struct.pack(_DESC_HEAD, DESC_VERSION, *arr.shape, precision))
         fh.write(arr.astype(dtype).tobytes())
 
 
@@ -110,14 +124,13 @@ def load_descriptors(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.read(8) != DESC_MAGIC:
             raise CheckpointError(f"{path}: not a descriptor dump")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version, count, dim, precision = struct.unpack(
+            _DESC_HEAD, _read(fh, struct.calcsize(_DESC_HEAD), "descriptor header"))
         if version != DESC_VERSION:
             raise CheckpointError(f"{path}: unsupported descriptor version {version}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        (dim,) = struct.unpack("<Q", fh.read(8))
-        (precision,) = struct.unpack("<B", fh.read(1))
+        if precision not in (4, 8):
+            raise CheckpointError(f"{path}: precision byte {precision} is neither 4 nor 8")
         dtype = np.dtype("<f8" if precision == 8 else "<f4")
-        data = np.frombuffer(fh.read(count * dim * dtype.itemsize), dtype=dtype)
-        if data.size != count * dim:
-            raise CheckpointError(f"{path}: truncated descriptor data")
+        data = np.frombuffer(_read(fh, count * dim * dtype.itemsize, "descriptor data"),
+                             dtype=dtype)
         return data.reshape(count, dim).astype(dtype.newbyteorder("="))

@@ -86,25 +86,6 @@ def _check_activations(eps, tol):
     return reports
 
 
-def _check_elementwise(eps, tol):
-    r = _rng(3)
-    a, b = r.normal(size=(3, 4)), r.normal(size=(3, 4))
-    w = probe_weights((3, 4))
-
-    def fn_add(p):
-        y, cache = ops.add_fwd(p["a"], p["b"])
-        da, db = ops.add_bwd(w, cache)
-        return float((w * y).sum()), {"a": da, "b": db}
-
-    def fn_mul(p):
-        y, cache = ops.mul_fwd(p["a"], p["b"])
-        da, db = ops.mul_bwd(w, cache)
-        return float((w * y).sum()), {"a": da, "b": db}
-
-    return [_probe(fn_add, {"a": a, "b": b}, "ops.add", eps, tol),
-            _probe(fn_mul, {"a": a, "b": b}, "ops.mul", eps, tol)]
-
-
 def _check_layernorm(eps, tol):
     r = _rng(4)
     x, g, b = r.normal(size=(3, 4, 6)), r.normal(size=6) + 1.0, r.normal(size=6)
@@ -214,21 +195,6 @@ def _check_idft(eps, tol):
         return float((w * y).sum()), {"re": dgrid.re, "im": dgrid.im}
 
     return _probe(fn, {"re": re, "im": im}, "spectral.idft2d", eps, tol)
-
-
-def _check_amplitude(eps, tol):
-    r = _rng(14)
-    x = r.normal(size=(4, 4, 2))
-
-    def fn(p):
-        grid, c_dft = spectral.dft2d_fwd(p["x"])
-        amp, c_amp = spectral.amplitude_fwd(grid)
-        loss = float(amp.sum())
-        dgrid = spectral.amplitude_bwd(np.ones_like(amp), c_amp)
-        dx = spectral.dft2d_bwd(dgrid, c_dft)
-        return loss, {"x": dx}
-
-    return _probe(fn, {"x": x}, "spectral.amplitude_of_dft", eps, tol)
 
 
 def _check_frequency_branch(eps, tol):
@@ -509,7 +475,6 @@ def build_suite(scope: str = "all"):
     checks = [
         ("ops.linear", _check_linear),
         ("ops.activations", _check_activations),
-        ("ops.elementwise", _check_elementwise),
         ("ops.layernorm", _check_layernorm),
         ("ops.conv2d_stride1", lambda e, t: _check_conv(e, t, 1, "ops.conv2d_stride1")),
         ("ops.conv2d_stride2", lambda e, t: _check_conv(e, t, 2, "ops.conv2d_stride2")),
@@ -520,7 +485,6 @@ def build_suite(scope: str = "all"):
         ("ops.gem_pool", _check_gem),
         ("spectral.dft2d", _check_dft),
         ("spectral.idft2d", _check_idft),
-        ("spectral.amplitude_of_dft", _check_amplitude),
         ("spectral.frequency_branch", _check_frequency_branch),
         ("trainer.triplet_loss", _check_triplet),
         ("vit.patch_embed", _check_patch_embed),

@@ -20,8 +20,8 @@ import numpy as np
 from . import ops
 from .checkpoint import (CheckpointError, load_checkpoint, save_descriptors)
 from .checksuite import run_suite
-from .config import (AblationFlags, ConfigError, ModelConfig, apply_env_overrides,
-                     dump_run_config, load_run_config)
+from .config import (AblationFlags, ConfigError, apply_env_overrides, dump_run_config,
+                     load_run_config, run_config_from_dict)
 from .dataset import load_dataset
 from .dfm import DFM_MODES
 from .heatmap import export_heatmaps
@@ -51,13 +51,10 @@ def _env_default(name, conv, fallback):
         raise UsageError(f"bad value for LGCN_{name}: {raw!r}") from exc
 
 
-def _add_ablation_flags(p, include_static=True):
+def _add_ablation_flags(p):
     p.add_argument("--disable-fsa", action="store_true", help="drop/skip the adapters")
     p.add_argument("--disable-cnn-stream", action="store_true", help="transformer stream only")
     p.add_argument("--disable-dfm", action="store_true", help="no gated fusion")
-    if include_static:
-        p.add_argument("--static-fusion", action="store_true",
-                       help="fuse streams by concatenation instead of the gate")
 
 
 def build_parser() -> _Parser:
@@ -98,7 +95,7 @@ def build_parser() -> _Parser:
                    help="cross-check against a brute-force recall computation")
     p.add_argument("--dump-descriptors", default=None, help="optional descriptor dump path")
     p.add_argument("--threads", type=int, default=None)
-    _add_ablation_flags(p, include_static=False)
+    _add_ablation_flags(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("scope", nargs="?", default="all",
@@ -112,7 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    _add_ablation_flags(p, include_static=False)
+    _add_ablation_flags(p)
 
     return parser
 
@@ -145,7 +142,7 @@ def _effective_run_config(args):
         cfg.threads = args.threads
     if args.dfm_mode is not None:
         cfg.model = dataclasses.replace(cfg.model, dfm_mode=args.dfm_mode)
-    for flag in ("disable_fsa", "disable_cnn_stream", "disable_dfm", "static_fusion"):
+    for flag in ("disable_fsa", "disable_cnn_stream", "disable_dfm"):
         if getattr(args, flag):
             setattr(cfg.ablation, flag, True)
     return cfg
@@ -165,6 +162,16 @@ def cmd_train(args) -> int:
                    log=lambda row: print(json.dumps(row, sort_keys=True)))
     write_report(report, args.out)
     return 0
+
+
+def _load_model(path):
+    """A checkpoint's parameters, model config and ablation flags; a bad header is fatal."""
+    params, header = load_checkpoint(path)
+    try:  # both sections are required: a None in their place fails the parser
+        cfg = run_config_from_dict({"model": None, "ablation": None, **header})
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad header: {exc}") from exc
+    return params, cfg.model, cfg.ablation
 
 
 def _eval_modes(header_ablation: AblationFlags, args):
@@ -205,9 +212,7 @@ def _brute_force_recall(q_desc, db_desc, db_ids, query_records, db_records, ns, 
 
 def cmd_eval(args) -> int:
     threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
-    params, header = load_checkpoint(args.checkpoint)
-    mcfg = ModelConfig(**header["model"])
-    abl = AblationFlags(**header["ablation"])
+    params, mcfg, abl = _load_model(args.checkpoint)
     fusion, adapters = _eval_modes(abl, args)
     records, images = load_dataset(args.data)
     if images.shape[1] != mcfg.image_size:
@@ -276,9 +281,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    params, header = load_checkpoint(args.checkpoint)
-    mcfg = ModelConfig(**header["model"])
-    abl = AblationFlags(**header["ablation"])
+    params, mcfg, abl = _load_model(args.checkpoint)
     fusion, adapters = _eval_modes(abl, args)
     image = read_ppm(args.image)
     if image.shape[0] != mcfg.image_size or image.shape[1] != mcfg.image_size:
@@ -294,7 +297,7 @@ _DISPATCH = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval,
              "gradcheck": cmd_gradcheck, "heatmap": cmd_heatmap}
 
 _USAGE_ERRORS = (UsageError, ConfigError, ManifestError, FileNotFoundError,
-                 NotADirectoryError, json.JSONDecodeError)
+                 NotADirectoryError)
 _RUNTIME_ERRORS = (NanLossError, ops.ShapeError, CheckpointError, ValueError,
                    FloatingPointError, OSError)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -35,6 +36,9 @@ class ModelConfig:
     dfm_mode: str = "paper-text"  # or "verbatim-eq5"
 
     def __post_init__(self):
+        for name in ("patch_size", "num_heads", "cnn_grid"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -66,27 +70,19 @@ class ModelConfig:
 
     @property
     def adapter_dim(self) -> int:
-        import math
-
         return math.ceil(self.adapter_ratio * self.embed_dim)
 
     @property
     def gate_dim(self) -> int:
-        import math
-
         return math.ceil(self.embed_dim / 4)
 
     @property
     def pool_factor(self) -> int:
         return (self.image_size // 8) // self.cnn_grid
 
-    @property
-    def num_regions(self) -> int:
-        return 4
-
     @classmethod
     def toy(cls, **overrides: Any) -> "ModelConfig":
-        return cls(**{**_TOY, **overrides})
+        return cls(**overrides)  # the field defaults are the toy preset
 
     @classmethod
     def paper(cls, **overrides: Any) -> "ModelConfig":
@@ -100,20 +96,6 @@ class ModelConfig:
             return cls.paper(**overrides)
         raise ConfigError(f"unknown preset {preset!r}")
 
-
-_TOY = dict(
-    preset="toy",
-    image_size=64,
-    patch_size=8,
-    embed_dim=64,
-    num_heads=4,
-    depth=4,
-    cnn_channels=96,
-    cnn_grid=4,
-    align_mid=6,
-    adapter_ratio=0.5,
-    adapter_scale_init=0.1,
-)
 
 # Full-size dims: 224px images on a 16x16 grid of 768-d tokens, a 7x7x1024
 # local stream, and a 14-wide intermediate resampling step.
@@ -163,14 +145,13 @@ class AblationFlags:
     disable_fsa: bool = False
     disable_cnn_stream: bool = False
     disable_dfm: bool = False
-    static_fusion: bool = False
 
     @property
     def fusion(self) -> str:
         """Effective fusion mode: 'vit-only', 'concat', or 'dfm'."""
         if self.disable_cnn_stream:
             return "vit-only"
-        if self.disable_dfm or self.static_fusion:
+        if self.disable_dfm:
             return "concat"
         return "dfm"
 
@@ -185,34 +166,45 @@ class RunConfig:
     threads: int = 1
 
 
-def _fields(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
-def _build(cls, data: dict, section: str):
-    unknown = set(data) - _fields(cls)
+def _section(raw, section: str, defaults: dict) -> dict:
+    """Copy of one config object, rejecting unknown keys and mistyped values."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be a JSON object, not {raw!r}")
+    unknown = set(raw) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown {section} config key(s): {sorted(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"unknown {section} key(s): {sorted(unknown)}")
+    for key, value in raw.items():
+        # bool is an int subclass and an int is a valid float: compare kinds exactly
+        kind = type(defaults[key])
+        if not (type(value) in (int, float) if kind is float else type(value) is kind):
+            raise ConfigError(f"bad {section} value {key}={value!r}")
+    return dict(raw)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Parse a config dict, rejecting unknown keys at every level."""
-    unknown = set(data) - {"model", "train", "ablation", "threads"}
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    model_data = dict(data.get("model", {}))
-    preset = model_data.pop("preset", "toy")
-    unknown = set(model_data) - (_fields(ModelConfig) - {"preset"})
-    if unknown:
-        raise ConfigError(f"unknown model config key(s): {sorted(unknown)}")
-    model = ModelConfig.from_preset(preset, **model_data)
-    train = _build(TrainConfig, dict(data.get("train", {})), "train")
-    ablation = _build(AblationFlags, dict(data.get("ablation", {})), "ablation")
-    threads = int(data.get("threads", 1))
+    """Parse a config dict, rejecting unknown keys and mistyped values.
+
+    The ablation key "static_fusion", written by versions that kept it as a
+    switch of its own, is read as disable_dfm: both select concat fusion.
+    """
+    top = _section(data, "config", {"model": {}, "train": {}, "ablation": {}, "threads": 1})
+    model = _section(top.get("model", {}), "model config", _defaults(ModelConfig))
+    preset = model.pop("preset", "toy")
+    train = _section(top.get("train", {}), "train config", _defaults(TrainConfig))
+    ablation = _section(top.get("ablation", {}), "ablation config",
+                        {**_defaults(AblationFlags), "static_fusion": False})
+    if ablation.pop("static_fusion", False):
+        ablation["disable_dfm"] = True
+    threads = top.get("threads", 1)
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    return RunConfig(model=model, train=train, ablation=ablation, threads=threads)
+    return RunConfig(model=ModelConfig.from_preset(preset, **model),
+                     train=TrainConfig(**train), ablation=AblationFlags(**ablation),
+                     threads=threads)
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -228,7 +220,11 @@ def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        return run_config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
+    return run_config_from_dict(data)
 
 
 def dump_run_config(cfg: RunConfig, path: str) -> None:

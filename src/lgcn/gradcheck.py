@@ -94,11 +94,6 @@ def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
     return GradCheckReport(name, max_err, per_param, bool(max_err <= tol), tol, detail)
 
 
-def weighted_sum_loss(output: np.ndarray, weights: np.ndarray):
-    """Scalar probe loss sum(w * y) and its output gradient (= w)."""
-    return float((weights * output).sum()), weights
-
-
 def probe_weights(shape, seed=123) -> np.ndarray:
     """Fixed pseudo-random loss weights; not all-ones so sign errors surface."""
     return np.random.default_rng(seed).normal(size=shape)

@@ -149,25 +149,6 @@ def layernorm_bwd(dy, cache):
     return dx, dgamma, dbeta
 
 
-def add_fwd(a, b):
-    _check(a.shape == b.shape, f"add: shapes {a.shape} and {b.shape} differ")
-    return a + b, None
-
-
-def add_bwd(dy, cache):
-    return dy, dy
-
-
-def mul_fwd(a, b):
-    _check(a.shape == b.shape, f"mul: shapes {a.shape} and {b.shape} differ")
-    return a * b, (a, b)
-
-
-def mul_bwd(dy, cache):
-    a, b = cache
-    return dy * b, dy * a
-
-
 def l2_normalize_fwd(x, axis=-1):
     n = np.sqrt((x ** 2).sum(axis=axis, keepdims=True))
     y = x / n

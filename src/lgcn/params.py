@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 BACKBONE_PREFIX = "vit."
-ADAPTER_PREFIX = "fsa."
 
 
 def acc_grad(grads: dict, name: str, g: np.ndarray) -> None:
@@ -34,14 +33,6 @@ def ones(shape) -> np.ndarray:
 
 def scalar(value: float) -> np.ndarray:
     return np.array(float(value), dtype=np.float64)
-
-
-def backbone_names(params: dict) -> list[str]:
-    return [n for n in params if n.startswith(BACKBONE_PREFIX)]
-
-
-def adapter_names(params: dict) -> list[str]:
-    return [n for n in params if n.startswith(ADAPTER_PREFIX)]
 
 
 def trainable_names(params: dict, freeze_backbone: bool) -> list[str]:

@@ -91,6 +91,18 @@ def save_manifest(records, path) -> None:
             writer.writerow([r.id, r.path, repr(r.lat), repr(r.lon), r.place_id or "", r.split])
 
 
+def similarities(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
+    """queries @ database.T, taken once per distinct database row and gathered back.
+
+    BLAS rounds a row's dot products differently by the row's position; this
+    gives identical rows (same bytes once -0.0 is folded into 0.0) equal columns.
+    """
+    rows = np.ascontiguousarray(database) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return (queries @ rows[first].T)[:, inverse]
+
+
 def search(queries: np.ndarray, database: np.ndarray, db_ids, k: int):
     """Exact top-k by cosine similarity (dot product on unit vectors).
 
@@ -106,7 +118,7 @@ def search(queries: np.ndarray, database: np.ndarray, db_ids, k: int):
         warnings.warn(f"search: k={k} exceeds database size {database.shape[0]}; clamping")
         k = database.shape[0]
     ids_arr = np.asarray(db_ids)
-    sims = queries @ database.T
+    sims = similarities(queries, database)
     # lexsort's last key is primary: sort by -sim, then id ascending
     out_ids, out_sims = [], []
     for row in sims:

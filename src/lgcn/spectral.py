@@ -105,15 +105,3 @@ def amplitude_modulate_bwd(dout: ComplexGrid, cache):
     if dgains.ndim == 4:
         dgains = dgains.sum(axis=0)
     return ComplexGrid(dre, dim), dgains
-
-
-def amplitude_fwd(grid: ComplexGrid, eps=0.0):
-    """|X| per bin. eps > 0 smooths the origin for gradient work."""
-    a = np.sqrt(grid.re ** 2 + grid.im ** 2 + eps)
-    return a, (grid, a)
-
-
-def amplitude_bwd(da, cache):
-    grid, a = cache
-    safe = np.where(a == 0.0, 1.0, a)
-    return ComplexGrid(da * grid.re / safe, da * grid.im / safe)

@@ -77,10 +77,6 @@ def sample_condition(world_seed: int, place_index: int, view_index: int) -> View
     )
 
 
-def neutral_condition() -> ViewCondition:
-    return ViewCondition(0.0, 1.0, 0.0, 0.0, np.ones(3), 0)
-
-
 def _render_canvas(sig: np.ndarray, height: int, width: int) -> np.ndarray:
     """Rasterize the structural signature on an extra-wide canvas.
 

@@ -21,7 +21,7 @@ from . import model as model_mod
 from .checkpoint import group_sha256, save_checkpoint
 from .config import AblationFlags, ModelConfig, TrainConfig
 from .params import trainable_names
-from .retrieval import geodistance_matrix, recall_at_n, search
+from .retrieval import geodistance_matrix, recall_at_n, search, similarities
 
 POSITIVE_RADIUS_M = 10.0
 NEGATIVE_RADIUS_M = 25.0
@@ -74,7 +74,7 @@ def mine_triplets(records, descriptors: np.ndarray, k: int) -> MiningResult:
     if descriptors.shape[0] != n:
         raise ValueError("mine_triplets: descriptor count does not match records")
     pos_ok, neg_ok = _pair_masks(records)
-    sims = descriptors @ descriptors.T
+    sims = similarities(descriptors, descriptors)
     ids = [r.id for r in records]
     id_order = np.argsort(np.argsort(ids))  # rank of each id, for tie-breaks
     triplets = []

@@ -85,3 +85,73 @@ def test_descriptor_dump_rejects_bad_magic(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\x00" * 24)
     with pytest.raises(ck.CheckpointError, match="not a descriptor dump"):
         ck.load_descriptors(path)
+
+
+def _valid_checkpoint(tmp_path, rng):
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(path, {"w": rng.normal(size=(2, 3))}, {"model": {"preset": "toy"}})
+    return path, path.read_bytes()
+
+
+def _patched(path, data, offset, value):
+    path.write_bytes(data[:offset] + value + data[offset + len(value):])
+    return path
+
+
+def test_checkpoint_rejects_truncated_header(tmp_path, rng):
+    path, data = _valid_checkpoint(tmp_path, rng)
+    path.write_bytes(data[:10])
+    with pytest.raises(ck.CheckpointError, match="truncated version"):
+        ck.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_dtype_code(tmp_path, rng):
+    path, data = _valid_checkpoint(tmp_path, rng)
+    hlen = int.from_bytes(data[12:16], "little")
+    dtype_at = 16 + hlen + 8 + 4 + len(b"w")  # tensor count, name length, name
+    assert data[dtype_at] == 0
+    with pytest.raises(ck.CheckpointError, match="unknown dtype code 7"):
+        ck.load_checkpoint(_patched(path, data, dtype_at, b"\x07"))
+
+
+@pytest.mark.parametrize("head", [b"!", b"\xff"])  # not JSON; not UTF-8
+def test_checkpoint_rejects_unreadable_header(tmp_path, rng, head):
+    path, data = _valid_checkpoint(tmp_path, rng)
+    with pytest.raises(ck.CheckpointError, match="unreadable header"):
+        ck.load_checkpoint(_patched(path, data, 16, head))
+
+
+def test_checkpoint_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(path, {}, ["model", 1])
+    with pytest.raises(ck.CheckpointError, match="not a JSON object"):
+        ck.load_checkpoint(path)
+
+
+def test_checkpoint_huge_shape_is_truncation_not_allocation(tmp_path, rng):
+    path, data = _valid_checkpoint(tmp_path, rng)
+    hlen = int.from_bytes(data[12:16], "little")
+    shape_at = 16 + hlen + 8 + 4 + len(b"w") + 1 + 4
+    with pytest.raises(ck.CheckpointError, match="truncated tensor"):
+        ck.load_checkpoint(_patched(path, data, shape_at, (2 ** 62).to_bytes(8, "little")))
+
+
+@pytest.mark.parametrize("precision", [0, 3, 7, 255])
+def test_descriptor_dump_rejects_unknown_precision_byte(tmp_path, rng, precision):
+    path = tmp_path / "d.bin"
+    ck.save_descriptors(path, rng.normal(size=(3, 3)))
+    data = path.read_bytes()
+    assert data[28] == 8  # magic, version, count, dim, then the precision byte
+    path.write_bytes(data[:28] + bytes([precision]) + data[29:])
+    with pytest.raises(ck.CheckpointError, match=f"precision byte {precision}"):
+        ck.load_descriptors(path)
+
+
+def test_descriptor_dump_rejects_truncated_fields(tmp_path, rng):
+    path = tmp_path / "d.bin"
+    ck.save_descriptors(path, rng.normal(size=(3, 3)))
+    data = path.read_bytes()
+    for cut in (10, 20, 28, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ck.CheckpointError, match="truncated"):
+            ck.load_descriptors(path)

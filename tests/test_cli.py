@@ -239,3 +239,87 @@ def test_module_entry_point(world, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "wrote 4 images" in proc.stdout
+
+
+def _eval_exit(tmp_path, world, ckpt, capsys):
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                 "--out", str(tmp_path / "r.json")])
+    return code, capsys.readouterr().err
+
+
+def _with_header(tmp_path, trained, edit):
+    from lgcn.checkpoint import save_checkpoint
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    edit(header)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, params, header)
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["ablation"].update(bogus=1),
+    lambda h: h.pop("ablation"),
+    lambda h: h["model"].update(embed_dim="16"),
+    lambda h: h["model"].update(patch_size=0),
+    lambda h: h.update(bogus=1),
+], ids=["unknown-key", "missing-key", "mistyped-value", "zero-patch", "unknown-section"])
+def test_bad_checkpoint_header_is_runtime_error(tmp_path, world, trained, capsys, edit):
+    code, err = _eval_exit(tmp_path, world, _with_header(tmp_path, trained, edit), capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "bad header" in err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "dtype-7", "json-bang"])
+def test_damaged_checkpoint_is_runtime_error(tmp_path, world, trained, capsys, damage):
+    data = (trained / "checkpoint-epoch001.ckpt").read_bytes()
+    hlen = int.from_bytes(data[12:16], "little")
+    if damage == "truncated":
+        data = data[:10]
+    elif damage == "dtype-7":
+        at = 16 + hlen + 8
+        at += 4 + int.from_bytes(data[at:at + 4], "little")  # skip the first name
+        data = data[:at] + b"\x07" + data[at + 1:]
+    else:
+        data = data[:16] + b"!" + data[17:]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data)
+    code, err = _eval_exit(tmp_path, world, bad, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, trained):
+    legacy = _with_header(tmp_path, trained, lambda h: h["ablation"].update(static_fusion=False))
+    reports = []
+    for ckpt in (trained / "checkpoint-epoch001.ckpt", legacy):
+        out = tmp_path / f"{len(reports)}.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["descriptor_sha256"] == reports[1]["descriptor_sha256"]
+    assert reports[1]["fusion"] == "dfm"
+
+
+def test_legacy_static_fusion_config_trains_concat(tmp_path, world):
+    cfg = write_config(tmp_path, **{"ablation.static_fusion": True})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out)]) == 0
+    echoed = load_run_config(str(out / "config.json"))
+    assert echoed.ablation.disable_dfm and echoed.ablation.fusion == "concat"
+    assert main(["eval", "--checkpoint", str(out / "checkpoint-epoch001.ckpt"),
+                 "--data", str(world), "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["fusion"] == "concat"
+
+
+def test_static_fusion_flag_is_gone(tmp_path, world):
+    assert main(["train", "--data", str(world), "--out", str(tmp_path / "o"),
+                 "--static-fusion"]) == 1
+
+
+def test_malformed_config_is_usage_error(tmp_path, world, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ('{"model": ', '\xff', '[1, 2]', '3'):
+        bad.write_bytes(text.encode("latin-1"))
+        assert main(["train", "--config", str(bad), "--data", str(world),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")

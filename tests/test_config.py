@@ -67,7 +67,42 @@ def test_ablation_fusion_modes():
     assert AblationFlags().fusion == "dfm"
     assert AblationFlags(disable_cnn_stream=True).fusion == "vit-only"
     assert AblationFlags(disable_dfm=True).fusion == "concat"
-    assert AblationFlags(static_fusion=True).fusion == "concat"
+    legacy = run_config_from_dict({"ablation": {"static_fusion": True}}).ablation
+    assert legacy == AblationFlags(disable_dfm=True) and legacy.fusion == "concat"
+
+
+def test_legacy_static_fusion_key():
+    # files written while static_fusion was a switch of its own still load
+    off = run_config_from_dict({"ablation": {"static_fusion": False, "disable_dfm": False}})
+    assert off.ablation == AblationFlags()
+    on = run_config_from_dict({"ablation": {"static_fusion": True, "disable_cnn_stream": True}})
+    assert on.ablation.fusion == "vit-only"
+    assert "static_fusion" not in run_config_to_dict(on)["ablation"]
+    with pytest.raises(ConfigError, match="static_fusion"):
+        run_config_from_dict({"ablation": {"static_fusion": 1}})
+
+
+@pytest.mark.parametrize("data", [
+    3, [],
+    {"model": 3},
+    {"ablation": ["disable_fsa"]},
+    {"model": {"embed_dim": "64"}},
+    {"model": {"embed_dim": 64.0}},
+    {"model": {"dfm_mode": None}},
+    {"train": {"epochs": True}},
+    {"ablation": {"disable_fsa": 1}},
+    {"threads": "2"},
+    {"model": {"patch_size": 0}},
+    {"model": {"num_heads": 0}},
+    {"model": {"cnn_grid": 0}},
+])
+def test_bad_values_rejected(data):
+    with pytest.raises(ConfigError):
+        run_config_from_dict(data)
+
+
+def test_int_accepted_for_float_field():
+    assert run_config_from_dict({"train": {"learning_rate": 0}}).train.learning_rate == 0
 
 
 def test_env_overrides():

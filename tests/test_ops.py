@@ -264,18 +264,6 @@ def test_l2_normalize_unit_and_scale_invariant(rng):
     np.testing.assert_allclose(y, y10, atol=1e-9)
 
 
-def test_add_mul_shape_checks(rng):
-    a = rng.normal(size=(2, 3))
-    with pytest.raises(ops.ShapeError):
-        ops.add_fwd(a, rng.normal(size=(3, 2)))
-    with pytest.raises(ops.ShapeError):
-        ops.mul_fwd(a, rng.normal(size=(2, 4)))
-    s, _ = ops.add_fwd(a, a)
-    p, _ = ops.mul_fwd(a, a)
-    np.testing.assert_array_equal(s, 2 * a)
-    np.testing.assert_array_equal(p, a * a)
-
-
 def test_avg_pool_matches_mean(rng):
     x = rng.normal(size=(2, 4, 4, 3))
     y, _ = ops.avg_pool2d_fwd(x, 2)

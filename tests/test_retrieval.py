@@ -80,6 +80,21 @@ def test_search_tie_broken_by_ascending_id(rng):
     np.testing.assert_allclose(sims[0], 0.0, atol=1e-12)
 
 
+def test_search_exact_duplicates_tie_by_ascending_id(rng):
+    # BLAS rounds a row's dot products differently by the row's position, so
+    # the copies sit far apart (the tail of a 735-row product) at full width.
+    base = unit_rows(rng.normal(size=(728, 256)))
+    db = np.concatenate([base, base[:7]])  # row i and row 728 + i are identical
+    ids = [f"d{i:04d}" for i in range(len(db))]
+    near = np.repeat(np.arange(7), 100)
+    qs = unit_rows(base[near] + 0.01 * rng.normal(size=(700, 256)))
+    topk, top_sims = rv.search(qs, db, ids, k=2)
+    assert [row[:2] for row in topk] == [[ids[i], ids[728 + i]] for i in near]
+    assert np.array_equal(top_sims[:, 0], top_sims[:, 1])
+    sims = rv.similarities(qs, db)
+    assert np.array_equal(sims[:, :7], sims[:, 728:])
+
+
 def test_search_matches_full_sort_oracle(rng):
     db = unit_rows(rng.normal(size=(50, 16)))
     qs = unit_rows(rng.normal(size=(5, 16)))

@@ -102,6 +102,22 @@ def test_mining_matches_exhaustive_oracle(rng):
     assert got == expected
 
 
+def test_mining_exact_duplicates_tie_by_ascending_id(rng):
+    """Identical descriptors far apart in the batch tie exactly; the lower id wins."""
+    base = unit_rows(rng.normal(size=(728, 256)))
+    anchors = unit_rows(np.repeat(base[:7], 40, axis=0) + 0.01 * rng.normal(size=(280, 256)))
+    desc = np.concatenate([base, base[:7], anchors])  # rows i and 728 + i are identical
+    places = [f"b{i}" for i in range(735)] + [f"a{i // 2}" for i in range(280)]
+    records = [ManifestRecord(f"r{i:04d}", "", 0.0, 0.0, p, "database")
+               for i, p in enumerate(places)]
+    result = trainer.mine_triplets(records, desc, k=2)
+    for t in result.triplets:
+        i = int(t.anchor[1:])
+        if i >= 735:  # each anchor sits next to base row (i - 735) // 40 and its copy
+            j = (i - 735) // 40
+            assert t.negatives == [f"r{j:04d}", f"r{728 + j:04d}"]
+
+
 def test_mining_descriptor_count_mismatch(rng):
     records = [co_located("a", 0.0), co_located("b", 5.0)]
     with pytest.raises(ValueError):
