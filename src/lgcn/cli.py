@@ -165,12 +165,20 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
-    """A checkpoint's parameters, model config and ablation flags; a bad header is fatal."""
+    """Parameters, model config and ablation flags of a checkpoint that matches its header."""
     params, header = load_checkpoint(path)
     try:  # both sections are required: a None in their place fails the parser
         cfg = run_config_from_dict({"model": None, "ablation": None, **header})
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
+    # shapes as a checkpoint stores them: ascontiguousarray writes a scalar as (1,)
+    shapes = {n: np.ascontiguousarray(v).shape
+              for n, v in init_model(cfg.model, cfg.ablation, 0).items()}
+    bad = sorted(n for n in shapes.keys() | params.keys()
+                 if n not in params or shapes.get(n) != params[n].shape)
+    if bad:
+        raise CheckpointError(f"{path}: {len(bad)} tensor names or shapes differ from the "
+                              f"header's model, such as {', '.join(bad[:3])}")
     return params, cfg.model, cfg.ablation
 
 

@@ -103,11 +103,22 @@ def similarities(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
     return (queries @ rows[first].T)[:, inverse]
 
 
+def rank(sims: np.ndarray, ids, k: int) -> np.ndarray:
+    """Column indices of each row's k highest similarities, best first.
+
+    Equal similarities rank by ascending id: the columns go into id order once,
+    and the stable sort keeps that order within every tie. NaN ranks last.
+    """
+    by_id = np.argsort(np.asarray(ids), kind="stable")
+    return by_id[np.argsort(-sims[:, by_id], axis=1, kind="stable")[:, :k]]
+
+
 def search(queries: np.ndarray, database: np.ndarray, db_ids, k: int):
     """Exact top-k by cosine similarity (dot product on unit vectors).
 
-    Ties break by ascending database id. Returns (ids, sims): a list of id
-    lists and an array of similarity rows, both length k per query.
+    Equal similarities rank by ascending database id (see rank). Returns
+    (ids, sims): a list of id lists and an array of similarity rows, both
+    length k per query.
     """
     if queries.ndim != 2 or database.ndim != 2 or queries.shape[1] != database.shape[1]:
         raise ValueError(
@@ -119,13 +130,8 @@ def search(queries: np.ndarray, database: np.ndarray, db_ids, k: int):
         k = database.shape[0]
     ids_arr = np.asarray(db_ids)
     sims = similarities(queries, database)
-    # lexsort's last key is primary: sort by -sim, then id ascending
-    out_ids, out_sims = [], []
-    for row in sims:
-        order = np.lexsort((ids_arr, -row))[:k]
-        out_ids.append([str(ids_arr[j]) for j in order])
-        out_sims.append(row[order])
-    return out_ids, np.array(out_sims) if out_sims else np.zeros((0, k))
+    order = rank(sims, ids_arr, k)
+    return ids_arr[order].astype(str).tolist(), np.take_along_axis(sims, order, axis=1)
 
 
 @dataclass
@@ -153,19 +159,25 @@ class RecallResult:
         return out
 
 
+def place_relations(a, b):
+    """(same, different) place-id matrices, len(a) x len(b); a missing id is neither."""
+    codes: dict = {}  # place id -> integer code; -1 stands for a missing id
+    ca, cb = (np.array([-1 if r.place_id is None else codes.setdefault(r.place_id, len(codes))
+                        for r in recs], dtype=np.int64) for recs in (a, b))
+    known = (ca[:, None] >= 0) & (cb >= 0)
+    same = known & (ca[:, None] == cb)
+    return same, known & ~same
+
+
 def ground_truth_sets(query_records, db_records, threshold_m=DEFAULT_MATCH_THRESHOLD_M):
-    """Per query, the set of database ids that count as correct matches."""
+    """Boolean (queries x database) matrix of correct matches.
+
+    A database record matches a query when it lies within threshold_m metres
+    or carries the same place id.
+    """
     dists = geodistance_matrix([q.lat for q in query_records], [q.lon for q in query_records],
                                [d.lat for d in db_records], [d.lon for d in db_records])
-    out = []
-    for qi, q in enumerate(query_records):
-        gt = set()
-        for di, d in enumerate(db_records):
-            same_place = q.place_id is not None and d.place_id is not None and q.place_id == d.place_id
-            if dists[qi, di] <= threshold_m or same_place:
-                gt.add(d.id)
-        out.append(gt)
-    return out
+    return (dists <= threshold_m) | place_relations(query_records, db_records)[0]
 
 
 def recall_at_n(topk_ids, query_records, db_records, n_values,
@@ -174,29 +186,29 @@ def recall_at_n(topk_ids, query_records, db_records, n_values,
 
     Queries with no correct database item at all are excluded from the
     denominator and reported. topk_ids must be ordered best-first and at
-    least max(n_values) deep (or database-size deep if smaller).
+    least max(n_values) deep (or database-size deep if smaller); an id that
+    is not a database id raises ValueError.
     """
     if len(query_records) == 0:
         raise ValueError("recall_at_n: empty query set")
     if len(topk_ids) != len(query_records):
         raise ValueError("recall_at_n: results and query records differ in length")
     n_values = sorted(int(n) for n in n_values)
-    gts = ground_truth_sets(query_records, db_records, threshold_m)
-    hits = {n: 0 for n in n_values}
-    evaluated = 0
-    excluded = []
-    per_query = {}
-    for q, ids, gt in zip(query_records, topk_ids, gts):
-        per_query[q.id] = list(ids)
-        if not gt:
-            excluded.append(q.id)
-            continue
-        evaluated += 1
-        for n in n_values:
-            if any(i in gt for i in ids[:n]):
-                hits[n] += 1
+    gt = ground_truth_sets(query_records, db_records, threshold_m)
+    column = {d.id: j for j, d in enumerate(db_records)}
+    first_hit = np.full(len(query_records), np.inf)  # rank of each query's first match
+    for qi, ids in enumerate(topk_ids):
+        try:
+            hits = np.flatnonzero(gt[qi, [column[i] for i in ids]])
+        except KeyError as exc:
+            raise ValueError(f"recall_at_n: {exc.args[0]!r} is not a database id") from None
+        if hits.size:
+            first_hit[qi] = hits[0]
+    valid = gt.any(axis=1)
+    evaluated = int(valid.sum())
     if evaluated == 0:
         raise ValueError("recall_at_n: no query has a valid ground-truth match")
-    recalls = {n: hits[n] / evaluated for n in n_values}
+    recalls = {n: int(np.count_nonzero(first_hit[valid] < n)) / evaluated for n in n_values}
+    excluded = [q.id for q, ok in zip(query_records, valid) if not ok]
     return RecallResult(n_values, recalls, threshold_m, evaluated, len(excluded),
-                        per_query, excluded)
+                        {q.id: list(ids) for q, ids in zip(query_records, topk_ids)}, excluded)

@@ -1,10 +1,10 @@
 """Metric-learning loop: hard-negative mining, triplet loss, Adam updates.
 
-Mining runs once per epoch against the current inference descriptors. Each
-anchor takes its most-similar valid positive (easiest) and its k most
-similar valid negatives (hardest); duplicate unordered anchor/positive
-pairs are dropped. Training is deterministic for a fixed seed when run
-single-threaded.
+Mining runs once per epoch against the database descriptors the previous
+validation encoded with the current parameters. Each anchor takes its
+most-similar valid positive (easiest) and its k most similar valid
+negatives (hardest); duplicate unordered anchor/positive pairs are dropped.
+Training is deterministic for a fixed seed when run single-threaded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import model as model_mod
 from .checkpoint import group_sha256, save_checkpoint
 from .config import AblationFlags, ModelConfig, TrainConfig
 from .params import trainable_names
-from .retrieval import geodistance_matrix, recall_at_n, search, similarities
+from .retrieval import geodistance_matrix, place_relations, rank, recall_at_n, search, similarities
 
 POSITIVE_RADIUS_M = 10.0
 NEGATIVE_RADIUS_M = 25.0
@@ -49,12 +49,7 @@ def _pair_masks(records):
     lats = [r.lat for r in records]
     lons = [r.lon for r in records]
     dists = geodistance_matrix(lats, lons, lats, lons)
-    places = [r.place_id for r in records]
-    # place-id clauses only apply when both records carry one
-    same_place = np.array([[pa is not None and pb is not None and pa == pb
-                            for pb in places] for pa in places])
-    diff_place = np.array([[pa is not None and pb is not None and pa != pb
-                            for pb in places] for pa in places])
+    same_place, diff_place = place_relations(records, records)
     pos_ok = (dists <= POSITIVE_RADIUS_M) | same_place
     neg_ok = (dists > NEGATIVE_RADIUS_M) | diff_place
     np.fill_diagonal(pos_ok, False)
@@ -67,35 +62,28 @@ def mine_triplets(records, descriptors: np.ndarray, k: int) -> MiningResult:
 
     Positive: the valid co-located sample most similar to the anchor.
     Negatives: the k most similar valid non-matches. Anchors with no valid
-    positive (or no negatives) are skipped and counted. Ties break by
-    ascending record id; unordered (anchor, positive) pairs are emitted once.
+    positive (or no negatives) are skipped and counted. Equal similarities
+    rank by ascending record id (see retrieval.rank); unordered (anchor,
+    positive) pairs are emitted once.
     """
-    n = len(records)
-    if descriptors.shape[0] != n:
+    if descriptors.shape[0] != len(records):
         raise ValueError("mine_triplets: descriptor count does not match records")
     pos_ok, neg_ok = _pair_masks(records)
     sims = similarities(descriptors, descriptors)
+    sims[np.isnan(sims)] = -np.inf  # ahead of the NaN that masks a pair out below
     ids = [r.id for r in records]
-    id_order = np.argsort(np.argsort(ids))  # rank of each id, for tie-breaks
-    triplets = []
-    skipped = 0
-    seen_pairs = set()
-    for i in range(n):
-        pos_idx = np.flatnonzero(pos_ok[i])
-        neg_idx = np.flatnonzero(neg_ok[i])
-        if pos_idx.size == 0 or neg_idx.size == 0:
-            skipped += 1
-            continue
-        pos_rank = np.lexsort((id_order[pos_idx], -sims[i, pos_idx]))
-        best_pos = pos_idx[pos_rank[0]]
-        pair = frozenset((ids[i], ids[best_pos]))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        neg_rank = np.lexsort((id_order[neg_idx], -sims[i, neg_idx]))
-        negs = [ids[neg_idx[r]] for r in neg_rank[:k]]
-        triplets.append(TripletBatch(ids[i], ids[best_pos], negs))
-    return MiningResult(triplets, skipped)
+    best_pos = rank(np.where(pos_ok, sims, np.nan), ids, 1).ravel()
+    hard_negs = rank(np.where(neg_ok, sims, np.nan), ids, k)
+    n_neg = neg_ok.sum(axis=1)
+    valid = pos_ok.any(axis=1) & (n_neg > 0)
+    triplets, seen_pairs = [], set()
+    for i in np.flatnonzero(valid):
+        pair = frozenset((ids[i], ids[best_pos[i]]))
+        if pair not in seen_pairs:
+            seen_pairs.add(pair)
+            negs = [ids[j] for j in hard_negs[i, :n_neg[i]]]
+            triplets.append(TripletBatch(ids[i], ids[best_pos[i]], negs))
+    return MiningResult(triplets, len(records) - int(valid.sum()))
 
 
 def triplet_loss_fwd(a, p, n, margin: float):
@@ -162,6 +150,7 @@ class TrainReport:
 
 def _val_recall(params, cfg, fusion, adapters, db_records, db_images,
                 q_records, q_images, threads=1):
+    """Query->database Recall@N, and the database descriptors it encoded."""
     db_desc = model_mod.compute_descriptors(db_images, params, cfg, fusion, adapters,
                                             threads=threads)
     q_desc = model_mod.compute_descriptors(q_images, params, cfg, fusion, adapters,
@@ -169,7 +158,7 @@ def _val_recall(params, cfg, fusion, adapters, db_records, db_images,
     k = min(max(RECALL_NS), len(db_records))
     topk, _ = search(q_desc, db_desc, [r.id for r in db_records], k)
     res = recall_at_n(topk, q_records, db_records, RECALL_NS)
-    return {n: res.recalls[n] for n in RECALL_NS}
+    return {n: res.recalls[n] for n in RECALL_NS}, db_desc
 
 
 def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
@@ -190,15 +179,12 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
         raise ValueError("train: manifest needs both database and query records")
     db_images = images[[idx_of[r.id] for r in db_records]]
     q_images = images[[idx_of[r.id] for r in q_records]]
-    train_records = db_records
-    train_images = db_images
-    train_idx_of = {r.id: i for i, r in enumerate(train_records)}
 
     report = TrainReport()
     header = {"model": dataclasses.asdict(cfg), "ablation": dataclasses.asdict(ablation)}
 
-    recalls = _val_recall(params, cfg, fusion, adapters, db_records, db_images,
-                          q_records, q_images, threads)
+    recalls, db_desc = _val_recall(params, cfg, fusion, adapters, db_records, db_images,
+                                   q_records, q_images, threads)
     report.rows.append({"epoch": 0, "loss": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
@@ -209,19 +195,17 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     k = train_cfg.k_negatives
     for epoch in range(1, train_cfg.epochs + 1):
         t0 = time.monotonic()
-        desc = model_mod.compute_descriptors(train_images, params, cfg, fusion, adapters,
-                                             threads=threads)
-        mined = mine_triplets(train_records, desc, k)
+        mined = mine_triplets(db_records, db_desc, k)
         triplets = list(mined.triplets)
         rng.shuffle(triplets)
         losses = []
         for start in range(0, len(triplets), b):
             chunk = triplets[start:start + b]
             nb = len(chunk)
-            a_idx = [train_idx_of[t.anchor] for t in chunk]
-            p_idx = [train_idx_of[t.positive] for t in chunk]
-            n_idx = [train_idx_of[nid] for t in chunk for nid in t.negatives]
-            batch_imgs = train_images[a_idx + p_idx + n_idx]
+            a_idx = [idx_of[t.anchor] for t in chunk]
+            p_idx = [idx_of[t.positive] for t in chunk]
+            n_idx = [idx_of[nid] for t in chunk for nid in t.negatives]
+            batch_imgs = images[a_idx + p_idx + n_idx]
             desc_all, tape = model_mod.model_forward(
                 batch_imgs, params, cfg, fusion, adapters, cross=True)
             ka = np.repeat(np.arange(nb), [len(t.negatives) for t in chunk])
@@ -242,8 +226,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             grads: dict = {}
             model_mod.model_backward(ddesc, tape, params, grads)
             opt.step(params, grads)
-        recalls = _val_recall(params, cfg, fusion, adapters, db_records, db_images,
-                              q_records, q_images, threads)
+        recalls, db_desc = _val_recall(params, cfg, fusion, adapters, db_records, db_images,
+                                       q_records, q_images, threads)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
         report.rows.append({"epoch": epoch, "loss": epoch_loss,
                             **{f"recall@{n}": recalls[n] for n in RECALL_NS}})

@@ -288,6 +288,27 @@ def test_damaged_checkpoint_is_runtime_error(tmp_path, world, trained, capsys, d
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda params, header: params.pop("head.attn.wq"),
+    lambda params, header: header["model"].update(depth=3),
+    lambda params, header: params.update(
+        {"head.attn.wq": params["head.attn.wq"][:, :-1].copy()}),
+], ids=["missing-tensor", "deeper-header", "wrong-shape"])
+def test_tensors_not_matching_header_are_runtime_errors(tmp_path, world, trained, capsys, edit):
+    from lgcn.checkpoint import save_checkpoint
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    edit(params, header)
+    ckpt = tmp_path / "edited.ckpt"
+    save_checkpoint(ckpt, params, header)
+    code, err = _eval_exit(tmp_path, world, ckpt, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "differ from the header" in err
+    assert main(["heatmap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "h"),
+                 "--image", str(world / "images" / "p0000_v0.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, trained):
     legacy = _with_header(tmp_path, trained, lambda h: h["ablation"].update(static_fusion=False))
     reports = []

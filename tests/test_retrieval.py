@@ -95,15 +95,36 @@ def test_search_exact_duplicates_tie_by_ascending_id(rng):
     assert np.array_equal(sims[:, :7], sims[:, 728:])
 
 
-def test_search_matches_full_sort_oracle(rng):
-    db = unit_rows(rng.normal(size=(50, 16)))
-    qs = unit_rows(rng.normal(size=(5, 16)))
-    ids = [f"d{i:03d}" for i in range(50)]
-    topk, sims = rv.search(qs, db, ids, k=10)
-    for qi in range(5):
-        scored = sorted(((float(qs[qi] @ db[di]), ids[di]) for di in range(50)),
+def shuffled_ids(gen, n):
+    """Distinct ids whose order is not row order ("d10" sorts before "d9")."""
+    return [f"d{i}" for i in gen.permutation(n)]
+
+
+def with_distant_copies(gen, rows, copies):
+    """Copy rows from the first half over rows of the second half."""
+    half = len(rows) // 2
+    for _ in range(copies if half else 0):
+        rows[gen.integers(half, len(rows))] = rows[gen.integers(0, half)]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 12),
+       st.integers(0, 6), st.booleans())
+def test_search_matches_full_sort_oracle(seed, n, k, copies, grid):
+    # grid: a few values a quarter apart, so dot products are exact and ties common
+    gen = np.random.default_rng(seed)
+    draw = ((lambda m: gen.integers(-2, 3, size=(m, 3)) / 4.0) if grid
+            else (lambda m: unit_rows(gen.normal(size=(m, 16)))))
+    db = with_distant_copies(gen, draw(n), copies)
+    qs = np.concatenate([draw(4), db[gen.integers(0, n, size=2)]])
+    ids = shuffled_ids(gen, n)
+    k = min(k, n)
+    topk, sims = rv.search(qs, db, ids, k=k)
+    for qi in range(len(qs)):
+        scored = sorted(((float(qs[qi] @ db[di]), ids[di]) for di in range(n)),
                         key=lambda t: (-t[0], t[1]))
-        assert topk[qi] == [sid for _, sid in scored[:10]]
+        assert topk[qi] == [sid for _, sid in scored[:k]]
 
 
 def test_search_clamps_k_with_warning(rng):
@@ -212,6 +233,13 @@ def test_recall_same_place_id_counts_as_match():
     q_records = [make_record("q0", 50.0, 50.0, place="p1", split="query")]
     res = rv.recall_at_n([["d0"]], q_records, db_records, [1])
     assert res.recalls[1] == 1.0
+
+
+def test_recall_unknown_topk_id_is_value_error():
+    db_records = [make_record("d0", 0.0, 0.0)]
+    q_records = [make_record("q0", 0.0, 0.0, split="query")]
+    with pytest.raises(ValueError, match="'ghost' is not a database id"):
+        rv.recall_at_n([["d0", "ghost"]], q_records, db_records, [1])
 
 
 def test_search_invariant_under_database_permutation(rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcn import trainer
 from lgcn.checkpoint import group_sha256
@@ -64,15 +66,25 @@ def test_mining_no_positives_skips_everything(rng):
     assert result.skipped == 4
 
 
-def test_mining_matches_exhaustive_oracle(rng):
-    """10-image manifest: replicate the rule with plain loops."""
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24), st.integers(1, 4), st.integers(0, 4))
+def test_mining_matches_exhaustive_oracle(seed, n, k, copies):
+    """Replicate the rule with plain loops.
+
+    Ids are shuffled against row order, some records carry no place id, some
+    rows are exact copies of distant rows, and descriptors take a few values
+    a quarter apart, so similarities are exact and ties common. Small worlds
+    leave anchors without a positive or without a negative.
+    """
+    gen = np.random.default_rng(seed)
     records = []
-    for i in range(10):
-        place = i // 2  # five places, two views each
-        records.append(co_located(f"r{i}", place * 60.0 + (i % 2) * 4.0,
-                                  place=f"p{place}"))
-    desc = unit_rows(rng.normal(size=(10, 16)))
-    k = 3
+    for i in gen.permutation(n):
+        place = int(gen.integers(0, 4))
+        records.append(co_located(f"r{i}", place * 60.0 + float(gen.uniform(0.0, 30.0)),
+                                  place=None if gen.random() < 0.3 else f"p{place}"))
+    desc = gen.integers(-2, 3, size=(n, 3)) / 4.0
+    for _ in range(copies if n > 1 else 0):
+        desc[gen.integers(n // 2, n)] = desc[gen.integers(0, n // 2)]
     result = trainer.mine_triplets(records, desc, k=k)
 
     sims = desc @ desc.T
@@ -116,6 +128,17 @@ def test_mining_exact_duplicates_tie_by_ascending_id(rng):
         if i >= 735:  # each anchor sits next to base row (i - 735) // 40 and its copy
             j = (i - 735) // 40
             assert t.negatives == [f"r{j:04d}", f"r{728 + j:04d}"]
+
+
+def test_mining_nan_descriptor_pairs_only_valid_records():
+    """A NaN similarity ranks last among the valid pairs, never before an invalid one."""
+    records = [co_located("a", 0.0), co_located("b", 5.0), co_located("c", 100.0),
+               co_located("d", 200.0)]
+    desc = np.eye(4)[:, :3]
+    desc[0] = np.nan
+    result = trainer.mine_triplets(records, desc, k=2)
+    assert [(t.anchor, t.positive, t.negatives) for t in result.triplets] == [
+        ("a", "b", ["c", "d"])]
 
 
 def test_mining_descriptor_count_mismatch(rng):
