@@ -16,16 +16,6 @@ from .gradcheck import GradCheckReport, grad_check, probe_weights
 
 COMPOSITE_COORDS = 24
 
-SCOPE_ALIASES = {
-    "tensor_core": "ops",
-    "vit_branch": "vit",
-    "fsa_adapter": "fsa",
-    "cnn_branch": "cnn",
-    "descriptor_head": "head",
-    "end_to_end": "model",
-    "retrieval_eval": "trainer",
-}
-
 
 def micro_cfg() -> ModelConfig:
     """Smallest config that exercises every code path."""
@@ -285,7 +275,7 @@ def _check_vit_full(eps, tol):
     def fn(p):
         full = dict(p)
         full.pop("image")
-        fmap, cache = vit.vit_forward(p["image"], full, cfg, adapters_enabled=True)
+        fmap, cache = vit.vit_forward(p["image"], full, cfg)
         grads: dict = {}
         dimg = vit.vit_backward(w, cache, full, grads)
         grads["image"] = dimg
@@ -349,7 +339,7 @@ def _open_kink_margins(params, images, cfg, gate=False, margin=KINK_MARGIN):
         params[bname] = params[bname] + shifts
         x = ops.relu_fwd(y + shifts)[0]
     if gate:
-        fvit, _ = vit.vit_forward(images, params, cfg, adapters_enabled=True)
+        fvit, _ = vit.vit_forward(images, params, cfg)
         pooled, _ = ops.avg_pool2d_fwd(x, cfg.pool_factor)
         fres, _ = cnn.align_upsample(pooled, params, cfg)
         h1, _ = ops.linear_fwd(fvit + fres, params["dfm.w1"], params["dfm.b1"])
@@ -458,10 +448,10 @@ def _check_end_to_end(eps, tol):
         size=params["head.attn.wo"].shape) * 0.2
     images = np.random.default_rng(69).random((2, cfg.image_size, cfg.image_size, 3))
     _open_kink_margins(params, images, cfg, gate=True)
-    w = probe_weights((2, model_mod.descriptor_dim(cfg, "dfm")), seed=17)
+    w = probe_weights((2, model_mod.descriptor_dim(params)), seed=17)
 
     def fn(p):
-        desc, tape = model_mod.model_forward(images, p, cfg, "dfm", True, cross=True)
+        desc, tape = model_mod.model_forward(images, p, cfg, cross=True)
         grads: dict = {}
         model_mod.model_backward(w, tape, p, grads)
         return float((w * desc).sum()), grads
@@ -471,7 +461,6 @@ def _check_end_to_end(eps, tol):
 
 def build_suite(scope: str = "all"):
     """Resolve a scope name to the list of (name, runner) checks."""
-    scope = SCOPE_ALIASES.get(scope, scope)
     checks = [
         ("ops.linear", _check_linear),
         ("ops.activations", _check_activations),

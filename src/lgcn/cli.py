@@ -9,7 +9,6 @@ config file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -20,12 +19,12 @@ import numpy as np
 from . import ops
 from .checkpoint import (CheckpointError, load_checkpoint, save_descriptors)
 from .checksuite import run_suite
-from .config import (AblationFlags, ConfigError, apply_env_overrides, dump_run_config,
-                     load_run_config, run_config_from_dict)
+from .config import (ConfigError, apply_env_overrides, dump_run_config, load_run_config,
+                     run_config_from_dict, run_config_to_dict)
 from .dataset import load_dataset
 from .dfm import DFM_MODES
 from .heatmap import export_heatmaps
-from .model import compute_descriptors, init_model
+from .model import compute_descriptors, fusion_of, init_model
 from .ppm import read_ppm
 from .retrieval import ManifestError, recall_at_n, search
 from .synthworld import generate_world
@@ -49,6 +48,12 @@ def _env_default(name, conv, fallback):
         return conv(raw)
     except ValueError as exc:
         raise UsageError(f"bad value for LGCN_{name}: {raw!r}") from exc
+
+
+# The parameter groups each ablation flag leaves out: init_model never builds
+# them for train, and eval/heatmap drop them from the checkpoint.
+_DROPPED_GROUPS = {"disable_fsa": ("fsa.",), "disable_cnn_stream": ("cnn.", "dfm."),
+                   "disable_dfm": ("dfm.",)}
 
 
 def _add_ablation_flags(p):
@@ -124,28 +129,21 @@ def cmd_gen(args) -> int:
 
 
 def _effective_run_config(args):
-    cfg = load_run_config(args.config)
-    cfg = apply_env_overrides(cfg)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-    if args.epochs is not None:
-        cfg.train.epochs = args.epochs
-    if args.batch_size is not None:
-        cfg.train.batch_size = args.batch_size
-    if args.lr is not None:
-        cfg.train.learning_rate = args.lr
-    if args.k_negatives is not None:
-        cfg.train.k_negatives = args.k_negatives
-    if args.freeze is not None:
-        cfg.train.freeze_backbone = args.freeze
+    """Flags over LGCN_* over the config file, all checked by the config parser."""
+    data = run_config_to_dict(apply_env_overrides(load_run_config(args.config)))
+    flags = {("train", "seed"): args.seed, ("train", "epochs"): args.epochs,
+             ("train", "batch_size"): args.batch_size, ("train", "learning_rate"): args.lr,
+             ("train", "k_negatives"): args.k_negatives,
+             ("train", "freeze_backbone"): args.freeze, ("model", "dfm_mode"): args.dfm_mode}
+    for (section, key), value in flags.items():
+        if value is not None:
+            data[section][key] = value
     if args.threads is not None:
-        cfg.threads = args.threads
-    if args.dfm_mode is not None:
-        cfg.model = dataclasses.replace(cfg.model, dfm_mode=args.dfm_mode)
-    for flag in ("disable_fsa", "disable_cnn_stream", "disable_dfm"):
+        data["threads"] = args.threads
+    for flag in _DROPPED_GROUPS:
         if getattr(args, flag):
-            setattr(cfg.ablation, flag, True)
-    return cfg
+            data["ablation"][flag] = True
+    return run_config_from_dict(data)
 
 
 def cmd_train(args) -> int:
@@ -165,7 +163,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path):
-    """Parameters, model config and ablation flags of a checkpoint that matches its header."""
+    """Parameters and model config of a checkpoint that matches its header."""
     params, header = load_checkpoint(path)
     try:  # both sections are required: a None in their place fails the parser
         cfg = run_config_from_dict({"model": None, "ablation": None, **header})
@@ -179,20 +177,17 @@ def _load_model(path):
     if bad:
         raise CheckpointError(f"{path}: {len(bad)} tensor names or shapes differ from the "
                               f"header's model, such as {', '.join(bad[:3])}")
-    return params, cfg.model, cfg.ablation
+    return params, cfg.model
 
 
-def _eval_modes(header_ablation: AblationFlags, args):
-    adapters = not (header_ablation.disable_fsa or args.disable_fsa)
-    fusion = header_ablation.fusion
-    if args.disable_cnn_stream and fusion != "vit-only":
-        if fusion == "concat":
-            raise UsageError("cannot disable the CNN stream of a concat-fusion checkpoint "
-                             "(the head expects concatenated channels)")
-        fusion = "vit-only"
-    elif args.disable_dfm and fusion == "dfm":
-        fusion = "sum"  # gate bypass: plain stream summation
-    return fusion, adapters
+def _ablated(params, args):
+    """The checkpoint's parameters less the groups the ablation flags drop."""
+    if args.disable_cnn_stream and fusion_of(params) == "concat":
+        raise UsageError("cannot disable the CNN stream of a concat-fusion checkpoint "
+                         "(the head expects concatenated channels)")
+    drop = tuple(prefix for flag, prefixes in _DROPPED_GROUPS.items() if getattr(args, flag)
+                 for prefix in prefixes)
+    return {n: v for n, v in params.items() if not n.startswith(drop)}
 
 
 def _brute_force_recall(q_desc, db_desc, db_ids, query_records, db_records, ns, threshold):
@@ -220,8 +215,9 @@ def _brute_force_recall(q_desc, db_desc, db_ids, query_records, db_records, ns, 
 
 def cmd_eval(args) -> int:
     threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
-    params, mcfg, abl = _load_model(args.checkpoint)
-    fusion, adapters = _eval_modes(abl, args)
+    threads = run_config_from_dict({"threads": threads}).threads  # the config's range check
+    params, mcfg = _load_model(args.checkpoint)
+    params = _ablated(params, args)
     records, images = load_dataset(args.data)
     if images.shape[1] != mcfg.image_size:
         raise ConfigError(f"dataset images are {images.shape[1]}px but the checkpoint expects "
@@ -233,10 +229,8 @@ def cmd_eval(args) -> int:
     q_idx = [i for i, r in enumerate(records) if r.split == "query"]
     db_records = [records[i] for i in db_idx]
     q_records = [records[i] for i in q_idx]
-    db_desc = compute_descriptors(images[db_idx], params, mcfg, fusion, adapters,
-                                  threads=threads)
-    q_desc = compute_descriptors(images[q_idx], params, mcfg, fusion, adapters,
-                                 threads=threads)
+    db_desc = compute_descriptors(images[db_idx], params, mcfg, threads=threads)
+    q_desc = compute_descriptors(images[q_idx], params, mcfg, threads=threads)
     k = min(max(ns), len(db_records))
     topk, sims = search(q_desc, db_desc, [r.id for r in db_records], k)
     result = recall_at_n(topk, q_records, db_records, ns, threshold_m=args.threshold)
@@ -248,8 +242,8 @@ def cmd_eval(args) -> int:
 
     report = result.to_dict(dataset=os.path.basename(os.path.normpath(args.data)))
     report["descriptor_sha256"] = digest
-    report["fusion"] = fusion
-    report["adapters_enabled"] = adapters
+    report["fusion"] = fusion_of(params)
+    report["adapters_enabled"] = any(n.startswith("fsa.") for n in params)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -289,13 +283,13 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    params, mcfg, abl = _load_model(args.checkpoint)
-    fusion, adapters = _eval_modes(abl, args)
+    params, mcfg = _load_model(args.checkpoint)
+    params = _ablated(params, args)
     image = read_ppm(args.image)
     if image.shape[0] != mcfg.image_size or image.shape[1] != mcfg.image_size:
         raise ConfigError(f"image is {image.shape[0]}x{image.shape[1]} but the checkpoint "
                           f"expects {mcfg.image_size}px")
-    written = export_heatmaps(image, params, mcfg, args.out, fusion, adapters)
+    written = export_heatmaps(image, params, mcfg, args.out)
     for name in sorted(written):
         print(f"{name}: {written[name]}")
     return 0

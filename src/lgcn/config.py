@@ -140,20 +140,11 @@ class TrainConfig:
 
 @dataclass
 class AblationFlags:
-    """Variant switches mirroring the ablation table."""
+    """Variant switches mirroring the ablation table; init_model maps them to groups."""
 
     disable_fsa: bool = False
     disable_cnn_stream: bool = False
     disable_dfm: bool = False
-
-    @property
-    def fusion(self) -> str:
-        """Effective fusion mode: 'vit-only', 'concat', or 'dfm'."""
-        if self.disable_cnn_stream:
-            return "vit-only"
-        if self.disable_dfm:
-            return "concat"
-        return "dfm"
 
 
 @dataclass

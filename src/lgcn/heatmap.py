@@ -28,10 +28,10 @@ def response_scalar(name: str, fmap: np.ndarray) -> np.ndarray:
     return (mag - mag.min()) / span
 
 
-def export_heatmaps(image, params, cfg, out_dir, fusion="dfm", adapters_enabled=True) -> dict:
+def export_heatmaps(image, params, cfg, out_dir) -> dict:
     """Write one PPM per available stream; returns {stream: path}."""
     os.makedirs(out_dir, exist_ok=True)
-    maps = stream_maps(image, params, cfg, fusion, adapters_enabled)
+    maps = stream_maps(image, params, cfg)
     factor = max(1, cfg.image_size // cfg.grid)
     written = {}
     for name, fmap in maps.items():

@@ -141,11 +141,10 @@ class RecallResult:
     threshold_m: float
     num_queries: int
     num_excluded: int
-    per_query_topk: dict[str, list[str]] = field(default_factory=dict)
     excluded_ids: list[str] = field(default_factory=list)
 
-    def to_dict(self, dataset: str = "", per_query: bool = False) -> dict:
-        out = {
+    def to_dict(self, dataset: str = "") -> dict:
+        return {
             "dataset": dataset,
             "n_values": list(self.n_values),
             "recall": {str(n): self.recalls[n] for n in self.n_values},
@@ -153,10 +152,6 @@ class RecallResult:
             "num_queries": self.num_queries,
             "num_excluded": self.num_excluded,
         }
-        if per_query:
-            out["per_query_topk"] = self.per_query_topk
-            out["excluded_ids"] = list(self.excluded_ids)
-        return out
 
 
 def place_relations(a, b):
@@ -210,5 +205,4 @@ def recall_at_n(topk_ids, query_records, db_records, n_values,
         raise ValueError("recall_at_n: no query has a valid ground-truth match")
     recalls = {n: int(np.count_nonzero(first_hit[valid] < n)) / evaluated for n in n_values}
     excluded = [q.id for q, ok in zip(query_records, valid) if not ok]
-    return RecallResult(n_values, recalls, threshold_m, evaluated, len(excluded),
-                        {q.id: list(ids) for q, ids in zip(query_records, topk_ids)}, excluded)
+    return RecallResult(n_values, recalls, threshold_m, evaluated, len(excluded), excluded)

@@ -148,13 +148,10 @@ class TrainReport:
     timings: list[dict] = field(default_factory=list)
 
 
-def _val_recall(params, cfg, fusion, adapters, db_records, db_images,
-                q_records, q_images, threads=1):
+def _val_recall(params, cfg, db_records, db_images, q_records, q_images, threads=1):
     """Query->database Recall@N, and the database descriptors it encoded."""
-    db_desc = model_mod.compute_descriptors(db_images, params, cfg, fusion, adapters,
-                                            threads=threads)
-    q_desc = model_mod.compute_descriptors(q_images, params, cfg, fusion, adapters,
-                                           threads=threads)
+    db_desc = model_mod.compute_descriptors(db_images, params, cfg, threads=threads)
+    q_desc = model_mod.compute_descriptors(q_images, params, cfg, threads=threads)
     k = min(max(RECALL_NS), len(db_records))
     topk, _ = search(q_desc, db_desc, [r.id for r in db_records], k)
     res = recall_at_n(topk, q_records, db_records, RECALL_NS)
@@ -169,8 +166,6 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     records/images: the full manifest with the image stack in record order.
     Emits one checkpoint per epoch plus report rows (epoch 0 = untrained).
     """
-    fusion = ablation.fusion
-    adapters = not ablation.disable_fsa
     rng = np.random.default_rng(train_cfg.seed)
     idx_of = {r.id: i for i, r in enumerate(records)}
     db_records = [r for r in records if r.split == "database"]
@@ -183,8 +178,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     report = TrainReport()
     header = {"model": dataclasses.asdict(cfg), "ablation": dataclasses.asdict(ablation)}
 
-    recalls, db_desc = _val_recall(params, cfg, fusion, adapters, db_records, db_images,
-                                   q_records, q_images, threads)
+    recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
+                                   threads)
     report.rows.append({"epoch": 0, "loss": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
@@ -206,8 +201,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             p_idx = [idx_of[t.positive] for t in chunk]
             n_idx = [idx_of[nid] for t in chunk for nid in t.negatives]
             batch_imgs = images[a_idx + p_idx + n_idx]
-            desc_all, tape = model_mod.model_forward(
-                batch_imgs, params, cfg, fusion, adapters, cross=True)
+            desc_all, tape = model_mod.model_forward(batch_imgs, params, cfg, cross=True)
             ka = np.repeat(np.arange(nb), [len(t.negatives) for t in chunk])
             a_d = desc_all[ka]
             p_d = desc_all[nb + ka]
@@ -226,8 +220,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             grads: dict = {}
             model_mod.model_backward(ddesc, tape, params, grads)
             opt.step(params, grads)
-        recalls, db_desc = _val_recall(params, cfg, fusion, adapters, db_records, db_images,
-                                       q_records, q_images, threads)
+        recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
+                                       threads)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
         report.rows.append({"epoch": epoch, "loss": epoch_loss,
                             **{f"recall@{n}": recalls[n] for n in RECALL_NS}})

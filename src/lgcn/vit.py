@@ -176,12 +176,15 @@ def vit_block_bwd(dy, cache, params, grads):
     return dx + dx2
 
 
-def vit_forward(images, params, cfg, adapters_enabled=True):
-    """Run the transformer stream; returns the patch-token map (B, G, G, D)."""
+def vit_forward(images, params, cfg):
+    """Run the transformer stream; returns the patch-token map (B, G, G, D).
+
+    Block i runs its adapter when the fsa.block{i} group is in params.
+    """
     tokens, c_embed = patch_embed_fwd(images, params, cfg)
     block_caches = []
     for i in range(cfg.depth):
-        adapter = f"fsa.block{i}" if adapters_enabled and f"fsa.block{i}.scale" in params else None
+        adapter = f"fsa.block{i}" if f"fsa.block{i}.scale" in params else None
         tokens, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, adapter)
         block_caches.append(c_blk)
     B = tokens.shape[0]

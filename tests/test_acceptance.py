@@ -127,7 +127,7 @@ def test_criterion_4_paper_shape_parity():
     dfm_params = dfm.init_dfm_params(cfg, gen)
 
     image = np.random.default_rng(7).random((1, 224, 224, 3))
-    fvit, _ = vit.vit_forward(image, params, cfg, adapters_enabled=True)
+    fvit, _ = vit.vit_forward(image, params, cfg)
     fres, _ = cnn_forward(image, params, cfg)
     aligned, cache = align_upsample(fres, params, cfg)
     trace = align_trace(cache)

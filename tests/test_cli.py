@@ -11,6 +11,7 @@ import pytest
 from lgcn.checkpoint import load_checkpoint
 from lgcn.cli import main
 from lgcn.config import load_run_config, run_config_to_dict
+from lgcn.model import fusion_of, init_model
 
 TINY_MODEL = {"preset": "toy", "image_size": 32, "patch_size": 8, "embed_dim": 16,
               "num_heads": 2, "depth": 2, "cnn_channels": 8, "cnn_grid": 2,
@@ -123,7 +124,6 @@ def test_train_freeze_backbone_checksums(trained):
     params, _ = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
     from lgcn.checkpoint import group_sha256
     from lgcn.config import ModelConfig
-    from lgcn.model import init_model
     from lgcn.config import AblationFlags
     init = init_model(ModelConfig(**json.loads((trained / "config.json").read_text())["model"]),
                       AblationFlags(), seed=0)
@@ -197,6 +197,7 @@ def test_gradcheck_inject_bug_fails(capsys):
 
 def test_gradcheck_unknown_scope_is_usage_error():
     assert main(["gradcheck", "nonsense"]) == 1
+    assert main(["gradcheck", "end_to_end"]) == 1  # module names are the only scopes
 
 
 def test_help_for_every_subcommand(capsys):
@@ -326,7 +327,8 @@ def test_legacy_static_fusion_config_trains_concat(tmp_path, world):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out)]) == 0
     echoed = load_run_config(str(out / "config.json"))
-    assert echoed.ablation.disable_dfm and echoed.ablation.fusion == "concat"
+    assert echoed.ablation.disable_dfm
+    assert fusion_of(init_model(echoed.model, echoed.ablation, 0)) == "concat"
     assert main(["eval", "--checkpoint", str(out / "checkpoint-epoch001.ckpt"),
                  "--data", str(world), "--out", str(tmp_path / "r.json")]) == 0
     assert json.loads((tmp_path / "r.json").read_text())["fusion"] == "concat"
@@ -344,3 +346,84 @@ def test_malformed_config_is_usage_error(tmp_path, world, capsys):
         assert main(["train", "--config", str(bad), "--data", str(world),
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k-negatives", "0"], ["--lr", "-1"], ["--batch-size", "0"], ["--epochs", "-1"],
+    ["--threads", "0"],
+], ids=["k-negatives-0", "lr-minus-1", "batch-size-0", "epochs-minus-1", "threads-0"])
+def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
+    # the same values in the config file are rejected by the config parser
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--data", str(world),
+                 "--out", str(tmp_path / "o"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,env", [(["--threads", "0"], None), ([], "0"), ([], "-2")],
+                         ids=["flag-0", "env-0", "env-minus-2"])
+def test_eval_threads_below_one_is_usage_error(tmp_path, world, trained, capsys, monkeypatch,
+                                               flags, env):
+    if env is not None:
+        monkeypatch.setenv("LGCN_THREADS", env)
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
+                 "--data", str(world), "--out", str(tmp_path / "r.json"), *flags]) == 1
+    assert capsys.readouterr().err == "usage error: threads must be >= 1\n"
+
+
+def test_train_flags_over_env_over_file(tmp_path, monkeypatch):
+    from lgcn.cli import _effective_run_config, build_parser
+    cfg = write_config(tmp_path, **{"train.seed": 1, "train.epochs": 1, "train.batch_size": 4})
+    monkeypatch.setenv("LGCN_SEED", "2")
+    monkeypatch.setenv("LGCN_EPOCHS", "3")
+    args = build_parser().parse_args(["train", "--config", str(cfg), "--data", "d", "--out", "o",
+                                      "--seed", "4", "--disable-dfm"])
+    run = _effective_run_config(args)
+    assert (run.train.seed, run.train.epochs, run.train.batch_size) == (4, 3, 4)
+    assert run.ablation.disable_dfm and not run.ablation.disable_fsa
+
+
+@pytest.fixture(scope="module")
+def variants(tmp_path_factory, world, trained):
+    """One tiny checkpoint per fusion the train flags build."""
+    ckpts = {"dfm": trained / "checkpoint-epoch001.ckpt"}
+    for name, flag in (("concat", "--disable-dfm"), ("vit-only", "--disable-cnn-stream")):
+        out = tmp_path_factory.mktemp(name)
+        assert main(["train", "--config", str(write_config(out)), "--data", str(world),
+                     "--out", str(out), flag]) == 0
+        ckpts[name] = out / "checkpoint-epoch001.ckpt"
+    return ckpts
+
+
+EVAL_FLAG_SETS = [[], ["--disable-fsa"], ["--disable-dfm"], ["--disable-cnn-stream"],
+                  ["--disable-dfm", "--disable-fsa"], ["--disable-cnn-stream", "--disable-dfm"]]
+# Fusion left by each flag set above; None is the usage error for a concat head
+# whose CNN half would be missing.
+EVAL_FUSIONS = {
+    "dfm": ["dfm", "dfm", "sum", "vit-only", "sum", "vit-only"],
+    "concat": ["concat", "concat", "concat", None, "concat", None],
+    "vit-only": ["vit-only"] * 6,
+}
+
+
+EVAL_CASES = [(variant, flags, fusion) for variant, fusions in EVAL_FUSIONS.items()
+              for flags, fusion in zip(EVAL_FLAG_SETS, fusions)]
+
+
+@pytest.mark.parametrize("variant,flags,fusion", EVAL_CASES, ids=[
+    f"{variant}-{'+'.join(f.removeprefix('--disable-') for f in flags) or 'none'}"
+    for variant, flags, _ in EVAL_CASES])
+def test_eval_ablation_flags_drop_groups(tmp_path, world, variants, capsys,
+                                         variant, flags, fusion):
+    out = tmp_path / "r.json"
+    code = main(["eval", "--checkpoint", str(variants[variant]), "--data", str(world),
+                 "--out", str(out), *flags])
+    if fusion is None:
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: cannot disable the CNN stream")
+        return
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["fusion"] == fusion
+    assert report["adapters_enabled"] == ("--disable-fsa" not in flags)

@@ -50,7 +50,7 @@ def test_align_output_matches_vit_shape(rng):
         image = rng.random((1, cfg.image_size, cfg.image_size, 3))
         fres, _ = cnn.cnn_forward(image, params, cfg)
         aligned, _ = cnn.align_upsample(fres, params, cfg)
-        fvit, _ = vit.vit_forward(image, vit_params, cfg, adapters_enabled=False)
+        fvit, _ = vit.vit_forward(image, vit_params, cfg)
         assert aligned.shape == fvit.shape
 
 

@@ -5,6 +5,7 @@ import pytest
 from lgcn.config import (AblationFlags, ConfigError, ModelConfig, RunConfig,
                          TrainConfig, apply_env_overrides, run_config_from_dict,
                          run_config_to_dict)
+from lgcn.model import fusion_of, init_model
 
 
 def test_toy_preset_dimensions():
@@ -63,12 +64,16 @@ def test_unknown_keys_rejected():
         run_config_from_dict({"train": {"lr": 0.1}})
 
 
+def _fusion(ablation):
+    return fusion_of(init_model(ModelConfig(), ablation, seed=0))
+
+
 def test_ablation_fusion_modes():
-    assert AblationFlags().fusion == "dfm"
-    assert AblationFlags(disable_cnn_stream=True).fusion == "vit-only"
-    assert AblationFlags(disable_dfm=True).fusion == "concat"
+    assert _fusion(AblationFlags()) == "dfm"
+    assert _fusion(AblationFlags(disable_cnn_stream=True)) == "vit-only"
+    assert _fusion(AblationFlags(disable_dfm=True)) == "concat"
     legacy = run_config_from_dict({"ablation": {"static_fusion": True}}).ablation
-    assert legacy == AblationFlags(disable_dfm=True) and legacy.fusion == "concat"
+    assert legacy == AblationFlags(disable_dfm=True) and _fusion(legacy) == "concat"
 
 
 def test_legacy_static_fusion_key():
@@ -76,7 +81,7 @@ def test_legacy_static_fusion_key():
     off = run_config_from_dict({"ablation": {"static_fusion": False, "disable_dfm": False}})
     assert off.ablation == AblationFlags()
     on = run_config_from_dict({"ablation": {"static_fusion": True, "disable_cnn_stream": True}})
-    assert on.ablation.fusion == "vit-only"
+    assert _fusion(on.ablation) == "vit-only"
     assert "static_fusion" not in run_config_to_dict(on)["ablation"]
     with pytest.raises(ConfigError, match="static_fusion"):
         run_config_from_dict({"ablation": {"static_fusion": 1}})

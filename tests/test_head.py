@@ -113,7 +113,7 @@ def test_inference_descriptor_independent_of_batch_size(rng):
     params = init_model(cfg, AblationFlags(), seed=5)
     params["head.attn.wo"] = np.random.default_rng(9).normal(size=(64, 64)) * 0.2
     images = rng.random((4, 64, 64, 3))
-    batched, _ = model_forward(images, params, cfg, "dfm", True, cross=False)
+    batched, _ = model_forward(images, params, cfg)
     for i in range(4):
-        solo, _ = model_forward(images[i:i + 1], params, cfg, "dfm", True, cross=False)
+        solo, _ = model_forward(images[i:i + 1], params, cfg)
         assert np.abs(solo[0] - batched[i]).max() <= 1e-9

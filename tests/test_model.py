@@ -5,7 +5,7 @@ import pytest
 
 from lgcn.config import AblationFlags, ModelConfig
 from lgcn.heatmap import export_heatmaps, response_scalar
-from lgcn.model import (compute_descriptors, descriptor_dim, init_model,
+from lgcn.model import (compute_descriptors, descriptor_dim, fusion_of, init_model,
                         model_forward, stream_maps)
 from lgcn.ppm import read_ppm
 
@@ -24,13 +24,13 @@ def tiny_cfg():
 def test_fusion_variants_produce_unit_descriptors(rng, ablation, expected_fusion, dim_factor):
     cfg = tiny_cfg()
     params = init_model(cfg, ablation, seed=0)
-    assert ablation.fusion == expected_fusion
+    assert fusion_of(params) == expected_fusion
     images = rng.random((3, 32, 32, 3))
-    desc, tape = model_forward(images, params, cfg, ablation.fusion,
-                               not ablation.disable_fsa, cross=False)
+    desc, tape = model_forward(images, params, cfg)
+    assert tape.fusion == expected_fusion
     assert desc.shape == (3, dim_factor * cfg.embed_dim)
     np.testing.assert_allclose(np.linalg.norm(desc, axis=1), 1.0, atol=1e-9)
-    assert desc.shape[1] == descriptor_dim(cfg, ablation.fusion)
+    assert desc.shape[1] == descriptor_dim(params)
 
 
 def test_param_groups_match_ablation():
@@ -59,8 +59,10 @@ def test_sum_fusion_differs_from_dfm(rng):
     cfg = tiny_cfg()
     params = init_model(cfg, AblationFlags(), seed=1)
     images = rng.random((2, 32, 32, 3))
-    d1, _ = model_forward(images, params, cfg, "dfm", True, cross=False)
-    d2, _ = model_forward(images, params, cfg, "sum", True, cross=False)
+    summed = {n: v for n, v in params.items() if not n.startswith("dfm.")}
+    assert fusion_of(summed) == "sum"
+    d1, _ = model_forward(images, params, cfg)
+    d2, _ = model_forward(images, summed, cfg)
     assert np.abs(d1 - d2).max() > 1e-9
 
 
@@ -85,13 +87,14 @@ def test_compute_descriptors_threaded_matches(rng):
 def test_stream_maps_names(rng):
     cfg = tiny_cfg()
     params = init_model(cfg, AblationFlags(), seed=3)
-    maps = stream_maps(rng.random((32, 32, 3)), params, cfg, "dfm", True)
+    maps = stream_maps(rng.random((32, 32, 3)), params, cfg)
     assert set(maps) == {"fvit", "fres", "omega", "fused"}
     g = cfg.grid
     for m in maps.values():
         assert m.shape[:2] == (g, g)
     assert (maps["omega"] > 0).all() and (maps["omega"] < 1).all()
-    vit_only = stream_maps(rng.random((32, 32, 3)), params, cfg, "vit-only", True)
+    vit_params = {n: v for n, v in params.items() if not n.startswith(("cnn.", "dfm."))}
+    vit_only = stream_maps(rng.random((32, 32, 3)), vit_params, cfg)
     assert set(vit_only) == {"fvit", "fused"}
 
 
@@ -109,7 +112,7 @@ def test_export_heatmaps_writes_ppms(tmp_path, rng):
     cfg = tiny_cfg()
     params = init_model(cfg, AblationFlags(), seed=4)
     image = rng.random((32, 32, 3))
-    written = export_heatmaps(image, params, cfg, tmp_path, "dfm", True)
+    written = export_heatmaps(image, params, cfg, tmp_path)
     assert set(written) == {"fvit", "fres", "omega", "fused"}
     for path in written.values():
         img = read_ppm(path)

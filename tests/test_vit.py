@@ -56,7 +56,7 @@ def test_patch_flatten_reshape_roundtrip(rng):
     cfg = toy_cfg()
     params = vit.init_vit_params(cfg, rng)
     image = rng.random((1, 64, 64, 3))
-    fmap, _ = vit.vit_forward(image, params, cfg, adapters_enabled=False)
+    fmap, _ = vit.vit_forward(image, params, cfg)
     g, d = cfg.grid, cfg.embed_dim
     flat = fmap.reshape(1, g * g, d)
     np.testing.assert_array_equal(flat.reshape(1, g, g, d), fmap)
@@ -115,7 +115,7 @@ def test_attention_rows_sum_to_one_in_blocks(rng):
 def test_vit_forward_toy_shape(rng):
     cfg = toy_cfg()
     params = vit.init_vit_params(cfg, rng)
-    fmap, _ = vit.vit_forward(rng.random((2, 64, 64, 3)), params, cfg, adapters_enabled=False)
+    fmap, _ = vit.vit_forward(rng.random((2, 64, 64, 3)), params, cfg)
     assert fmap.shape == (2, 8, 8, 64)
 
 
@@ -127,8 +127,9 @@ def test_zero_adapter_projection_is_bit_identical(rng):
     for i in range(cfg.depth):
         params.update(fsa.init_fsa_params(cfg, gen, f"fsa.block{i}"))
     image = rng.random((1, 64, 64, 3))
-    with_adapters, _ = vit.vit_forward(image, params, cfg, adapters_enabled=True)
-    without, _ = vit.vit_forward(image, params, cfg, adapters_enabled=False)
+    with_adapters, _ = vit.vit_forward(image, params, cfg)
+    vit_params = {n: v for n, v in params.items() if not n.startswith("fsa.")}
+    without, _ = vit.vit_forward(image, vit_params, cfg)
     np.testing.assert_array_equal(with_adapters, without)
 
 
@@ -146,8 +147,8 @@ def test_permutation_equivariance_with_matching_positions(rng):
     params2 = dict(params)
     params2["vit.patch.pos"] = params["vit.patch.pos"][perm]
 
-    out1, _ = vit.vit_forward(image[None], params, cfg, adapters_enabled=False)
-    out2, _ = vit.vit_forward(shuffled[None], params2, cfg, adapters_enabled=False)
+    out1, _ = vit.vit_forward(image[None], params, cfg)
+    out2, _ = vit.vit_forward(shuffled[None], params2, cfg)
     flat1 = out1.reshape(g * g, d)
     flat2 = out2.reshape(g * g, d)
     assert np.abs(flat2 - flat1[perm]).max() < 1e-9
