@@ -39,7 +39,7 @@ def save_checkpoint(path, params: dict, header: dict) -> None:
         fh.write(head)
         fh.write(struct.pack("<Q", len(params)))
         for name, value in params.items():
-            arr = np.ascontiguousarray(value)
+            arr = np.asarray(value)  # keeps a 0-d tensor's rank; tobytes() is C order
             if arr.dtype not in _DTYPE_FOR:
                 arr = arr.astype(np.float64)
             nb = name.encode("utf-8")

@@ -169,9 +169,10 @@ def _load_model(path):
         cfg = run_config_from_dict({"model": None, "ablation": None, **header})
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
-    # shapes as a checkpoint stores them: ascontiguousarray writes a scalar as (1,)
-    shapes = {n: np.ascontiguousarray(v).shape
-              for n, v in init_model(cfg.model, cfg.ablation, 0).items()}
+    shapes = {n: v.shape for n, v in init_model(cfg.model, cfg.ablation, 0).items()}
+    for n, shape in shapes.items():  # earlier versions wrote 0-d tensors as shape (1,)
+        if shape == () and n in params and params[n].shape == (1,):
+            params[n] = params[n].reshape(())
     bad = sorted(n for n in shapes.keys() | params.keys()
                  if n not in params or shapes.get(n) != params[n].shape)
     if bad:

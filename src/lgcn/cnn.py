@@ -49,15 +49,16 @@ def cnn_forward(images, params, cfg):
     return pooled, (caches, c_pool)
 
 
-def cnn_backward(dy, cache, grads):
+def cnn_backward(dy, cache, grads, image_grad=True):
+    """Image gradient, or an empty array when image_grad is False."""
     caches, c_pool = cache
     dx = ops.avg_pool2d_bwd(dy, c_pool)
     for i, (c_conv, c_relu) in zip((3, 2, 1), reversed(caches)):
         dx = ops.relu_bwd(dx, c_relu)
-        dx, dw, db = ops.conv2d_bwd(dx, c_conv)
+        dx, dw, db = ops.conv2d_bwd(dx, c_conv, inputs=i > 1 or image_grad)
         acc_grad(grads, f"cnn.stage{i}.w", dw)
         acc_grad(grads, f"cnn.stage{i}.b", db)
-    return dx
+    return np.empty(0) if dx is None else dx
 
 
 def align_upsample(fres, params, cfg):

@@ -36,7 +36,7 @@ class ModelConfig:
     dfm_mode: str = "paper-text"  # or "verbatim-eq5"
 
     def __post_init__(self):
-        for name in ("patch_size", "num_heads", "cnn_grid"):
+        for name in ("patch_size", "num_heads", "cnn_grid", "embed_dim", "cnn_channels", "depth"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.image_size % self.patch_size != 0:
@@ -130,10 +130,14 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.margin < 0:
-            raise ConfigError("margin must be >= 0")
+        for name in ("learning_rate", "margin"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1)")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError("adam_eps must be finite and > 0")
         if self.batch_size < 1 or self.epochs < 0 or self.k_negatives < 1:
             raise ConfigError("batch_size, epochs, k_negatives out of range")
 

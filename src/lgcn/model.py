@@ -98,8 +98,15 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False):
     return desc, tape
 
 
-def model_backward(ddesc, tape: ModelTape, params, grads):
-    """Backpropagate descriptor gradients into the grads dict."""
+def model_backward(ddesc, tape: ModelTape, params, grads, trainable=None):
+    """Backpropagate descriptor gradients into the grads dict.
+
+    trainable=None computes every parameter's gradient and both streams'
+    image gradients (the gradcheck path). Given the set of trainable names,
+    frozen vit.* weights get no gradient and neither stream computes an image
+    gradient (vit.vit_backward, cnn.cnn_backward); the gradients it does
+    compute are bitwise those of the full path.
+    """
     dfused = head.head_backward(ddesc, tape.c_head, grads)
     if tape.fusion == "vit-only":
         dfvit, dfres = dfused, None
@@ -112,8 +119,8 @@ def model_backward(ddesc, tape: ModelTape, params, grads):
         dfvit, dfres = dfused, dfused
     if dfres is not None:
         dfres_raw = cnn.align_backward(dfres, tape.c_align, grads)
-        cnn.cnn_backward(dfres_raw, tape.c_cnn, grads)
-    vit.vit_backward(dfvit, tape.c_vit, params, grads)
+        cnn.cnn_backward(dfres_raw, tape.c_cnn, grads, image_grad=trainable is None)
+    vit.vit_backward(dfvit, tape.c_vit, params, grads, trainable)
 
 
 def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64,

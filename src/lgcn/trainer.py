@@ -218,7 +218,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             np.add.at(ddesc, nb + ka, dp)
             ddesc[2 * nb:] += dn
             grads: dict = {}
-            model_mod.model_backward(ddesc, tape, params, grads)
+            model_mod.model_backward(ddesc, tape, params, grads, opt.trainable)
             opt.step(params, grads)
         recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
                                        threads)

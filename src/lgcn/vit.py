@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fsa, ops
-from .params import acc_grad, normal_init, ones, zeros
+from .params import acc_grad, normal_init, ones, wants, wants_group, zeros
 
 FFN_RATIO = 4
 
@@ -73,19 +73,42 @@ def patch_embed_fwd(images, params, cfg):
     return (tokens if had_batch else tokens[0]), cache
 
 
-def patch_embed_bwd(dtokens, cache, grads):
+def patch_embed_bwd(dtokens, cache, grads, trainable=None):
+    """Image gradient; with a trainable set, only its names' gradients and an empty array."""
     c_lin, (B, g, p), had_batch = cache
     if dtokens.ndim == 2:
         dtokens = dtokens[None]
-    dcls = dtokens[:, 0, :].sum(axis=0)
     dtok = dtokens[:, 1:, :]
-    acc_grad(grads, "vit.patch.cls", dcls)
-    acc_grad(grads, "vit.patch.pos", dtok.sum(axis=0))
-    dpatches, dw, db = ops.linear_bwd(dtok, c_lin)
-    acc_grad(grads, "vit.patch.proj_w", dw)
-    acc_grad(grads, "vit.patch.proj_b", db)
+    _acc(grads, trainable, "vit.patch.cls", dtokens[:, 0, :].sum(axis=0))
+    _acc(grads, trainable, "vit.patch.pos", dtok.sum(axis=0))
+    dpatches = _linear_bwd(dtok, c_lin, grads, "vit.patch.proj_w", "vit.patch.proj_b",
+                           trainable, inputs=trainable is None)
+    if dpatches is None:
+        return np.empty(0)
     dimages = dpatches.reshape(B, g, g, p, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * p, g * p, 3)
     return dimages if had_batch else dimages[0]
+
+
+def _acc(grads, trainable, name, g):
+    """Accumulate g into grads[name] if the backward wants that name."""
+    if wants(trainable, name):
+        acc_grad(grads, name, g)
+
+
+def _linear_bwd(dy, cache, grads, w_name, b_name, trainable, inputs=True):
+    """dx of a linear layer; its weight and bias gradients go to grads when wanted."""
+    dx, dw, db = ops.linear_bwd(dy, cache, inputs, wants(trainable, w_name, b_name))
+    _acc(grads, trainable, w_name, dw)
+    _acc(grads, trainable, b_name, db)
+    return dx
+
+
+def _layernorm_bwd(dy, cache, grads, prefix, trainable):
+    g_name, b_name = f"{prefix}.g", f"{prefix}.b"
+    dx, dg, db = ops.layernorm_bwd(dy, cache, wants(trainable, g_name, b_name))
+    _acc(grads, trainable, g_name, dg)
+    _acc(grads, trainable, b_name, db)
+    return dx
 
 
 def _split_heads(x, n_heads):
@@ -110,19 +133,15 @@ def mhsa_fwd(x, params, prefix, n_heads):
     return out, (cq, ck, cv, c_att, co, n_heads, prefix)
 
 
-def mhsa_bwd(dy, cache, grads):
+def mhsa_bwd(dy, cache, grads, trainable=None):
     cq, ck, cv, c_att, co, n_heads, prefix = cache
-    dmerged, dwo, dbo = ops.linear_bwd(dy, co)
-    acc_grad(grads, f"{prefix}.wo", dwo)
-    acc_grad(grads, f"{prefix}.bo", dbo)
+    dmerged = _linear_bwd(dy, co, grads, f"{prefix}.wo", f"{prefix}.bo", trainable)
     doh = _split_heads(dmerged, n_heads)
     dqh, dkh, dvh = ops.attention_bwd(doh, c_att)
     dx = np.zeros_like(dy)
     for dh, clin, wname, bname in ((dqh, cq, "wq", "bq"), (dkh, ck, "wk", "bk"), (dvh, cv, "wv", "bv")):
-        dt, dw, db = ops.linear_bwd(_merge_heads(dh), clin)
-        acc_grad(grads, f"{prefix}.{wname}", dw)
-        acc_grad(grads, f"{prefix}.{bname}", db)
-        dx = dx + dt
+        dx = dx + _linear_bwd(_merge_heads(dh), clin, grads, f"{prefix}.{wname}",
+                              f"{prefix}.{bname}", trainable)
     return dx
 
 
@@ -133,16 +152,11 @@ def ffn_fwd(x, params, prefix):
     return y, (c1, ca, c2, prefix)
 
 
-def ffn_bwd(dy, cache, grads):
+def ffn_bwd(dy, cache, grads, trainable=None):
     c1, ca, c2, prefix = cache
-    da1, dw2, db2 = ops.linear_bwd(dy, c2)
-    acc_grad(grads, f"{prefix}.w2", dw2)
-    acc_grad(grads, f"{prefix}.b2", db2)
+    da1 = _linear_bwd(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2", trainable)
     dh1 = ops.gelu_bwd(da1, ca)
-    dx, dw1, db1 = ops.linear_bwd(dh1, c1)
-    acc_grad(grads, f"{prefix}.w1", dw1)
-    acc_grad(grads, f"{prefix}.b1", db1)
-    return dx
+    return _linear_bwd(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", trainable)
 
 
 def vit_block_fwd(x, params, prefix, cfg, adapter_prefix=None):
@@ -160,20 +174,24 @@ def vit_block_fwd(x, params, prefix, cfg, adapter_prefix=None):
     return y, (c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix)
 
 
-def vit_block_bwd(dy, cache, params, grads):
+def vit_block_bwd(dy, cache, params, grads, trainable=None, input_grad=True):
+    """Input gradient of a block; None when input_grad is False.
+
+    A vit.* weight outside trainable (None: every name) gets no gradient.
+    Without input_grad and with all of the block's vit.* weights frozen,
+    only the adapter's backward runs.
+    """
     c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix = cache
-    dh2 = ffn_bwd(dy, c_ffn, grads)
-    if c_fsa is not None:
-        dh2 = dh2 + fsa.fsa_backward(dy, c_fsa, params, grads)
-    dx2, dg2, db2 = ops.layernorm_bwd(dh2, c_ln2)
-    acc_grad(grads, f"{prefix}.ln2.g", dg2)
-    acc_grad(grads, f"{prefix}.ln2.b", db2)
-    dx2 = dx2 + dy
-    dh1 = mhsa_bwd(dx2, c_att, grads)
-    dx, dg1, db1 = ops.layernorm_bwd(dh1, c_ln1)
-    acc_grad(grads, f"{prefix}.ln1.g", dg1)
-    acc_grad(grads, f"{prefix}.ln1.b", db1)
-    return dx + dx2
+    dadapter = fsa.fsa_backward(dy, c_fsa, params, grads) if c_fsa is not None else None
+    if not (input_grad or wants_group(trainable, f"{prefix}.")):
+        return None
+    dh2 = ffn_bwd(dy, c_ffn, grads, trainable)
+    if dadapter is not None:
+        dh2 = dh2 + dadapter
+    dx2 = _layernorm_bwd(dh2, c_ln2, grads, f"{prefix}.ln2", trainable) + dy
+    dh1 = mhsa_bwd(dx2, c_att, grads, trainable)
+    dx = _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", trainable) + dx2
+    return dx if input_grad else None
 
 
 def vit_forward(images, params, cfg):
@@ -193,10 +211,24 @@ def vit_forward(images, params, cfg):
     return fmap, (c_embed, block_caches, (B, g, d))
 
 
-def vit_backward(dfmap, cache, params, grads):
+def vit_backward(dfmap, cache, params, grads, trainable=None):
+    """Backpropagate the map gradient into grads; returns the image gradient.
+
+    trainable=None computes every gradient, the images' included. Given a set
+    of names, a vit.* weight outside it gets no gradient, the pass stops at
+    the lowest block with a trainable vit.* or fsa.* name, and an empty array
+    stands in for the image gradient. The adapters of the blocks it runs
+    always get gradients.
+    """
     c_embed, block_caches, (B, g, d) = cache
     dtokens = np.zeros((B, 1 + g * g, d), dtype=dfmap.dtype)
     dtokens[:, 1:, :] = dfmap.reshape(B, g * g, d)
-    for c_blk in reversed(block_caches):
-        dtokens = vit_block_bwd(dtokens, c_blk, params, grads)
-    return patch_embed_bwd(dtokens, c_embed, grads)
+    below, needs_input = ("vit.patch.",), []  # a block's input gradient feeds what trains below it
+    for i in range(len(block_caches)):
+        needs_input.append(wants_group(trainable, *below))
+        below += (f"vit.block{i}.", f"fsa.block{i}.")
+    for c_blk, input_grad in zip(reversed(block_caches), reversed(needs_input)):
+        dtokens = vit_block_bwd(dtokens, c_blk, params, grads, trainable, input_grad)
+        if dtokens is None:
+            return np.empty(0)
+    return patch_embed_bwd(dtokens, c_embed, grads, trainable)

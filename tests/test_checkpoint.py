@@ -23,6 +23,20 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         assert loaded[name].dtype == params[name].dtype
 
 
+def test_model_checkpoint_round_trips_every_shape(tmp_path):
+    from lgcn.config import AblationFlags, ModelConfig
+    from lgcn.model import init_model
+
+    params = init_model(ModelConfig.toy(depth=2), AblationFlags(), seed=0)
+    assert params["dfm.alpha1"].ndim == 0 and params["fsa.block0.scale"].ndim == 0
+    path = tmp_path / "model.ckpt"
+    ck.save_checkpoint(path, params, {})
+    loaded, _ = ck.load_checkpoint(path)
+    for name in params:
+        assert loaded[name].shape == params[name].shape, name
+        assert loaded[name].tobytes() == params[name].tobytes(), name
+
+
 def test_checkpoint_preserves_order(tmp_path, rng):
     params = {f"p{i}": rng.normal(size=3) for i in range(20)}
     path = tmp_path / "m.ckpt"

@@ -322,6 +322,24 @@ def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, traine
     assert reports[1]["fusion"] == "dfm"
 
 
+def test_checkpoint_with_scalars_stored_as_shape_1_evaluates_unchanged(tmp_path, world, trained):
+    # the form earlier versions wrote 0-d tensors in
+    from lgcn.checkpoint import save_checkpoint
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    scalars = [n for n, v in params.items() if v.ndim == 0]
+    assert "dfm.alpha1" in scalars and "fsa.block0.scale" in scalars
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, {n: v.reshape(-1) if v.ndim == 0 else v for n, v in params.items()},
+                    header)
+    reports = []
+    for ckpt in (trained / "checkpoint-epoch001.ckpt", legacy):
+        out = tmp_path / f"{len(reports)}.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+
+
 def test_legacy_static_fusion_config_trains_concat(tmp_path, world):
     cfg = write_config(tmp_path, **{"ablation.static_fusion": True})
     out = tmp_path / "run"
@@ -359,6 +377,30 @@ def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
                  "--out", str(tmp_path / "o"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model.embed_dim", 0), ("model.cnn_channels", 0), ("model.depth", 0),
+    ("train.beta1", 1.0), ("train.beta1", -0.5), ("train.beta2", 1.0), ("train.beta2", -0.5),
+    ("train.adam_eps", 0.0), ("train.adam_eps", -1.0),
+    ("train.learning_rate", float("inf")), ("train.learning_rate", float("nan")),
+    ("train.margin", float("nan")), ("train.margin", float("inf")),
+])
+def test_out_of_range_config_value_is_usage_error(tmp_path, world, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})  # json writes NaN and Infinity
+    assert main(["train", "--config", str(cfg), "--data", str(world),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not (tmp_path / "o" / "checkpoint-epoch001.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_env_learning_rate_is_usage_error(tmp_path, world, capsys, monkeypatch, value):
+    monkeypatch.setenv("LGCN_LEARNING_RATE", value)
+    assert main(["train", "--config", str(write_config(tmp_path)), "--data", str(world),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: learning_rate")
 
 
 @pytest.mark.parametrize("flags,env", [(["--threads", "0"], None), ([], "0"), ([], "-2")],

@@ -29,6 +29,20 @@ def test_zero_image_zero_bias_gives_zero_map(rng):
     np.testing.assert_array_equal(fres, 0.0)
 
 
+def test_backward_without_image_gradient_keeps_weight_gradients(rng):
+    cfg = ModelConfig.toy()
+    params = cnn.init_cnn_params(cfg, rng)
+    fres, cache = cnn.cnn_forward(rng.random((2, 64, 64, 3)), params, cfg)
+    dy = rng.normal(size=fres.shape)
+    full, limited = {}, {}
+    assert cnn.cnn_backward(dy, cache, full).shape == (2, 64, 64, 3)
+    dimg = cnn.cnn_backward(dy, cache, limited, image_grad=False)
+    assert isinstance(dimg, np.ndarray) and dimg.size == 0
+    assert list(limited) == list(full)
+    for name in full:
+        assert limited[name].tobytes() == full[name].tobytes()
+
+
 def test_align_toy_trace(rng):
     cfg = ModelConfig.toy()
     params = cnn.init_cnn_params(cfg, rng)

@@ -100,6 +100,20 @@ def test_legacy_static_fusion_key():
     {"model": {"patch_size": 0}},
     {"model": {"num_heads": 0}},
     {"model": {"cnn_grid": 0}},
+    {"model": {"embed_dim": 0}},
+    {"model": {"cnn_channels": 0}},
+    {"model": {"depth": 0}},
+    {"train": {"beta1": 1.0}},
+    {"train": {"beta1": -0.1}},
+    {"train": {"beta2": 1.0}},
+    {"train": {"beta2": -0.1}},
+    {"train": {"adam_eps": 0.0}},
+    {"train": {"adam_eps": -1.0}},
+    {"train": {"adam_eps": float("inf")}},
+    {"train": {"learning_rate": float("nan")}},
+    {"train": {"learning_rate": float("inf")}},
+    {"train": {"margin": float("nan")}},
+    {"train": {"margin": float("inf")}},
 ])
 def test_bad_values_rejected(data):
     with pytest.raises(ConfigError):
@@ -123,3 +137,14 @@ def test_env_overrides():
 def test_env_override_bad_value():
     with pytest.raises(ConfigError):
         apply_env_overrides(RunConfig(), {"LGCN_SEED": "abc"})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_env_learning_rate_must_be_finite(value):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        apply_env_overrides(RunConfig(), {"LGCN_LEARNING_RATE": value})
+
+
+def test_adam_bounds_accept_their_closed_ends():
+    cfg = TrainConfig(beta1=0.0, beta2=0.0, adam_eps=1e-300)
+    assert (cfg.beta1, cfg.beta2) == (0.0, 0.0)

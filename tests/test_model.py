@@ -6,7 +6,8 @@ import pytest
 from lgcn.config import AblationFlags, ModelConfig
 from lgcn.heatmap import export_heatmaps, response_scalar
 from lgcn.model import (compute_descriptors, descriptor_dim, fusion_of, init_model,
-                        model_forward, stream_maps)
+                        model_backward, model_forward, stream_maps)
+from lgcn.params import trainable_names
 from lgcn.ppm import read_ppm
 
 
@@ -31,6 +32,30 @@ def test_fusion_variants_produce_unit_descriptors(rng, ablation, expected_fusion
     assert desc.shape == (3, dim_factor * cfg.embed_dim)
     np.testing.assert_allclose(np.linalg.norm(desc, axis=1), 1.0, atol=1e-9)
     assert desc.shape[1] == descriptor_dim(params)
+
+
+@pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(disable_dfm=True)],
+                         ids=["dfm", "concat"])
+@pytest.mark.parametrize("extra", [(), ("vit.block1.ln2.g", "vit.block1.attn.wq"), None],
+                         ids=["frozen-backbone", "two-vit-weights", "every-name"])
+def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
+    cfg = tiny_cfg()
+    params = init_model(cfg, ablation, seed=3)
+    for name in params:  # zero-initialised projections would hide most paths
+        if name.endswith((".fuse_w", "head.attn.wo")):
+            params[name] = rng.normal(size=params[name].shape) * 0.1
+    desc, tape = model_forward(rng.random((5, 32, 32, 3)), params, cfg, cross=True)
+    ddesc = rng.normal(size=desc.shape)
+    full: dict = {}
+    model_backward(ddesc, tape, params, full)
+    trainable = set(trainable_names(params, freeze_backbone=extra is not None)) | set(extra or ())
+    grads: dict = {}
+    model_backward(ddesc, tape, params, grads, trainable)
+    assert set(grads) == trainable
+    if extra == ():
+        assert not any(n.startswith("vit.") for n in grads)
+    for name in trainable:
+        assert grads[name].tobytes() == full[name].tobytes(), name
 
 
 def test_param_groups_match_ablation():

@@ -198,6 +198,46 @@ def test_bilinear_downsample_matches_oracle(rng):
     assert np.abs(y - bilinear_ref(x, 3, 5)).max() < 1e-12
 
 
+def _gather_axis(n_in, n_out):
+    src = np.clip((np.arange(n_out) + 0.5) * n_in / n_out - 0.5, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(int)
+    return lo, np.minimum(lo + 1, n_in - 1), src - lo
+
+
+def bilinear_gather_ref(x, out_h, out_w):
+    """Four corner gathers per output pixel, and their np.add.at scatter as the backward."""
+    B, H, W, C = x.shape
+    i0, i1, fi = _gather_axis(H, out_h)
+    j0, j1, fj = _gather_axis(W, out_w)
+    wi, wj = fi[:, None, None], fj[None, :, None]
+    corners = [(i0, j0, (1 - wi) * (1 - wj)), (i0, j1, (1 - wi) * wj),
+               (i1, j0, wi * (1 - wj)), (i1, j1, wi * wj)]
+    y = sum(x[:, ii[:, None], jj[None, :], :] * wt for ii, jj, wt in corners)
+
+    def bwd(dy):
+        dx = np.zeros(x.shape)
+        for ii, jj, wt in corners:
+            np.add.at(dx, (slice(None), ii[:, None], jj[None, :]), dy * wt)
+        return dx
+
+    return y, bwd
+
+
+@pytest.mark.parametrize("in_hw,out_hw", [
+    ((5, 5), (5, 5)), ((4, 4), (6, 6)), ((6, 6), (8, 8)), ((1, 3), (4, 2)),
+    ((8, 6), (3, 5)), ((7, 7), (2, 2)), ((3, 5), (9, 2)),
+], ids=["identity", "4-to-6", "6-to-8", "1x3-to-4x2", "down-8x6-to-3x5", "down-7-to-2",
+        "mixed-3x5-to-9x2"])
+def test_bilinear_matrix_form_matches_gather_reference(rng, in_hw, out_hw):
+    x = rng.normal(size=(3, *in_hw, 4))
+    y, cache = ops.bilinear_resize_fwd(x, *out_hw)
+    ref, ref_bwd = bilinear_gather_ref(x, *out_hw)
+    assert y.shape == ref.shape
+    assert np.abs(y - ref).max() <= 1e-14
+    dy = rng.normal(size=y.shape)
+    assert np.abs(ops.bilinear_resize_bwd(dy, cache) - ref_bwd(dy)).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # dense / activations / normalization
 # ---------------------------------------------------------------------------
@@ -247,6 +287,18 @@ def test_sigmoid_values(rng):
     y, _ = ops.sigmoid_fwd(x)
     np.testing.assert_allclose(y, 1 / (1 + np.exp(-x)), atol=1e-12)
     assert (y > 0).all() and (y < 1).all()
+
+
+def test_gelu_matches_power_formula_on_signed_inputs(rng):
+    x = np.concatenate([rng.normal(size=500) * 3, np.linspace(-10, 10, 41)])
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * np.power(x, 3)))
+    y, cache = ops.gelu_fwd(x)
+    np.testing.assert_allclose(y, 0.5 * x * (1.0 + t), rtol=0, atol=1e-14)
+    dy = rng.normal(size=x.shape)
+    dt = (1.0 - np.power(t, 2)) * c * (1.0 + 3 * 0.044715 * np.power(x, 2))
+    np.testing.assert_allclose(ops.gelu_bwd(dy, cache), dy * (0.5 * (1.0 + t) + 0.5 * x * dt),
+                               rtol=0, atol=1e-14)
 
 
 def test_gelu_fixed_points():
