@@ -1,9 +1,11 @@
 """Registered gradient checks for every operator and composite module.
 
 Each entry builds a deterministic scalar function of named parameters and
-runs it through grad_check. Small shapes are checked coordinate-by-
-coordinate; composite modules sample a seeded subset of coordinates per
-tensor to stay within a desk-scale time budget.
+runs it through grad_check. Operators go through `_op` and composite
+modules through `_module`; both weight the output with fixed probe weights.
+Small shapes are checked coordinate-by-coordinate; composite modules sample
+a seeded subset of coordinates per tensor to stay within a desk-scale time
+budget.
 """
 
 from __future__ import annotations
@@ -38,125 +40,111 @@ def _probe(fn_fwd_bwd, params, name, eps, tol, sample=None):
                       max_coords_per_param=sample, rng=np.random.default_rng(99))
 
 
-def _simple(op_fwd, op_bwd, x, name, eps, tol, **kw):
-    w = probe_weights(op_fwd(x, **kw)[0].shape)
+def _as_tuple(grads):
+    return grads if isinstance(grads, tuple) else (grads,)
+
+
+def _redraw(params, key, gen, scale):
+    """Replace a (zero-initialised) tensor with scaled normal draws."""
+    params[key] = gen.normal(size=params[key].shape) * scale
+
+
+def _op(name, fwd, bwd, inputs, eps, tol, **kw):
+    """Check an operator over an ordered dict of inputs.
+
+    fwd(*inputs, **kw) -> (y, cache); bwd(dy, cache) returns the inputs'
+    gradients in the same order.
+    """
+    w = probe_weights(fwd(*inputs.values(), **kw)[0].shape)
 
     def fn(p):
-        y, cache = op_fwd(p["x"], **kw)
-        loss = float((w * y).sum())
-        return loss, {"x": op_bwd(w, cache)}
+        y, cache = fwd(*p.values(), **kw)
+        return float((w * y).sum()), dict(zip(p, _as_tuple(bwd(w, cache))))
 
-    return _probe(fn, {"x": x}, name, eps, tol)
+    return _probe(fn, inputs, name, eps, tol)
+
+
+def _module(name, fwd, bwd, base, names, inputs, seed, eps, tol, sample=COMPOSITE_COORDS):
+    """Check the parameters `names` of a module, then its ordered inputs.
+
+    The checked parameters are merged over the fixed dict `base`.
+    fwd(*inputs, params) -> (y, cache); bwd(dy, cache, params, grads) adds
+    the parameter gradients to grads and returns the inputs' gradients.
+    """
+    w = probe_weights(fwd(*inputs.values(), base)[0].shape, seed=seed)
+
+    def fn(p):
+        full = {**base, **{k: p[k] for k in names}}
+        y, cache = fwd(*(p[k] for k in inputs), full)
+        grads: dict = {}
+        grads.update(zip(inputs, _as_tuple(bwd(w, cache, full, grads))))
+        return float((w * y).sum()), grads
+
+    return _probe(fn, {**{k: base[k] for k in names}, **inputs}, name, eps, tol, sample)
 
 
 def _check_linear(eps, tol):
     r = _rng(1)
-    x, wgt, b = r.normal(size=(3, 5)), r.normal(size=(5, 4)), r.normal(size=4)
-    w = probe_weights((3, 4))
-
-    def fn(p):
-        y, cache = ops.linear_fwd(p["x"], p["w"], p["b"])
-        dx, dw, db = ops.linear_bwd(w, cache)
-        return float((w * y).sum()), {"x": dx, "w": dw, "b": db}
-
-    return _probe(fn, {"x": x, "w": wgt, "b": b}, "ops.linear", eps, tol)
+    inputs = {"x": r.normal(size=(3, 5)), "w": r.normal(size=(5, 4)), "b": r.normal(size=4)}
+    return _op("ops.linear", ops.linear_fwd, ops.linear_bwd, inputs, eps, tol)
 
 
 def _check_activations(eps, tol):
-    reports = []
     r = _rng(2)
-    x = _nudge(r.normal(size=(4, 6)))
-    reports.append(_simple(ops.relu_fwd, ops.relu_bwd, x, "ops.relu", eps, tol))
-    reports.append(_simple(ops.gelu_fwd, ops.gelu_bwd, r.normal(size=(4, 6)), "ops.gelu", eps, tol))
-    reports.append(_simple(ops.sigmoid_fwd, ops.sigmoid_bwd, r.normal(size=(4, 6)), "ops.sigmoid", eps, tol))
-    reports.append(_simple(ops.softplus_fwd, ops.softplus_bwd, r.normal(size=(4, 6)), "ops.softplus", eps, tol))
-    reports.append(_simple(ops.softmax_fwd, ops.softmax_bwd, r.normal(size=(3, 5)), "ops.softmax", eps, tol))
-    reports.append(_simple(ops.l2_normalize_fwd, ops.l2_normalize_bwd,
-                           r.normal(size=(3, 5)) + 2.0, "ops.l2_normalize", eps, tol))
-    return reports
+    cases = [
+        ("ops.relu", ops.relu_fwd, ops.relu_bwd, _nudge(r.normal(size=(4, 6)))),
+        ("ops.gelu", ops.gelu_fwd, ops.gelu_bwd, r.normal(size=(4, 6))),
+        ("ops.sigmoid", ops.sigmoid_fwd, ops.sigmoid_bwd, r.normal(size=(4, 6))),
+        ("ops.softplus", ops.softplus_fwd, ops.softplus_bwd, r.normal(size=(4, 6))),
+        ("ops.softmax", ops.softmax_fwd, ops.softmax_bwd, r.normal(size=(3, 5))),
+        ("ops.l2_normalize", ops.l2_normalize_fwd, ops.l2_normalize_bwd,
+         r.normal(size=(3, 5)) + 2.0),
+    ]
+    return [_op(name, fwd, bwd, {"x": x}, eps, tol) for name, fwd, bwd, x in cases]
 
 
 def _check_layernorm(eps, tol):
     r = _rng(4)
-    x, g, b = r.normal(size=(3, 4, 6)), r.normal(size=6) + 1.0, r.normal(size=6)
-    w = probe_weights((3, 4, 6))
-
-    def fn(p):
-        y, cache = ops.layernorm_fwd(p["x"], p["g"], p["b"])
-        dx, dg, db = ops.layernorm_bwd(w, cache)
-        return float((w * y).sum()), {"x": dx, "g": dg, "b": db}
-
-    return _probe(fn, {"x": x, "g": g, "b": b}, "ops.layernorm", eps, tol)
+    inputs = {"x": r.normal(size=(3, 4, 6)), "g": r.normal(size=6) + 1.0, "b": r.normal(size=6)}
+    return _op("ops.layernorm", ops.layernorm_fwd, ops.layernorm_bwd, inputs, eps, tol)
 
 
 def _check_conv(eps, tol, stride, name):
     r = _rng(5 + stride)
-    x = r.normal(size=(2, 6, 6, 3))
-    wgt = r.normal(size=(4, 3, 3, 3))
-    b = r.normal(size=4)
-    y0, _ = ops.conv2d_fwd(x, wgt, b, stride=stride, padding=1)
-    w = probe_weights(y0.shape)
-
-    def fn(p):
-        y, cache = ops.conv2d_fwd(p["x"], p["w"], p["b"], stride=stride, padding=1)
-        dx, dw, db = ops.conv2d_bwd(w, cache)
-        return float((w * y).sum()), {"x": dx, "w": dw, "b": db}
-
-    return _probe(fn, {"x": x, "w": wgt, "b": b}, name, eps, tol)
+    inputs = {"x": r.normal(size=(2, 6, 6, 3)), "w": r.normal(size=(4, 3, 3, 3)),
+              "b": r.normal(size=4)}
+    return _op(name, ops.conv2d_fwd, ops.conv2d_bwd, inputs, eps, tol, stride=stride, padding=1)
 
 
 def _check_depthwise(eps, tol):
     r = _rng(7)
-    x = r.normal(size=(2, 5, 5, 3))
-    k = r.normal(size=(3, 3, 3))
-    y0, _ = ops.depthwise_conv2d_fwd(x, k, padding=1)
-    w = probe_weights(y0.shape)
-
-    def fn(p):
-        y, cache = ops.depthwise_conv2d_fwd(p["x"], p["k"], padding=1)
-        dx, dk = ops.depthwise_conv2d_bwd(w, cache)
-        return float((w * y).sum()), {"x": dx, "k": dk}
-
-    return _probe(fn, {"x": x, "k": k}, "ops.depthwise_conv2d", eps, tol)
+    inputs = {"x": r.normal(size=(2, 5, 5, 3)), "k": r.normal(size=(3, 3, 3))}
+    return _op("ops.depthwise_conv2d", ops.depthwise_conv2d_fwd, ops.depthwise_conv2d_bwd,
+               inputs, eps, tol, padding=1)
 
 
 def _check_bilinear(eps, tol):
-    r = _rng(8)
-    x = r.normal(size=(2, 5, 5, 2))
-    return _simple(ops.bilinear_resize_fwd, ops.bilinear_resize_bwd, x,
-                   "ops.bilinear_resize", eps, tol, out_h=8, out_w=7)
+    x = _rng(8).normal(size=(2, 5, 5, 2))
+    return _op("ops.bilinear_resize", ops.bilinear_resize_fwd, ops.bilinear_resize_bwd,
+               {"x": x}, eps, tol, out_h=8, out_w=7)
 
 
 def _check_avgpool(eps, tol):
-    r = _rng(9)
-    x = r.normal(size=(2, 4, 4, 3))
-    return _simple(ops.avg_pool2d_fwd, ops.avg_pool2d_bwd, x, "ops.avg_pool2d", eps, tol, factor=2)
+    x = _rng(9).normal(size=(2, 4, 4, 3))
+    return _op("ops.avg_pool2d", ops.avg_pool2d_fwd, ops.avg_pool2d_bwd, {"x": x}, eps, tol,
+               factor=2)
 
 
 def _check_attention(eps, tol):
     r = _rng(10)
-    q, k, v = (r.normal(size=(2, 4, 3)) for _ in range(3))
-    y0, _ = ops.attention_fwd(q, k, v)
-    w = probe_weights(y0.shape)
-
-    def fn(p):
-        y, cache = ops.attention_fwd(p["q"], p["k"], p["v"])
-        dq, dk, dv = ops.attention_bwd(w, cache)
-        return float((w * y).sum()), {"q": dq, "k": dk, "v": dv}
-
-    return _probe(fn, {"q": q, "k": k, "v": v}, "ops.attention", eps, tol)
+    inputs = {n: r.normal(size=(2, 4, 3)) for n in ("q", "k", "v")}
+    return _op("ops.attention", ops.attention_fwd, ops.attention_bwd, inputs, eps, tol)
 
 
 def _check_gem(eps, tol):
-    r = _rng(11)
-    x = r.normal(size=(2, 4, 4, 3))
-    w = probe_weights((2, 3))
-
-    def fn(p):
-        y, cache = ops.gem_pool_fwd(p["x"], p=3.0, axes=(1, 2))
-        return float((w * y).sum()), {"x": ops.gem_pool_bwd(w, cache)}
-
-    return _probe(fn, {"x": x}, "ops.gem_pool", eps, tol)
+    x = _rng(11).normal(size=(2, 4, 4, 3))
+    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, eps, tol,
+               p=3.0, axes=(1, 2))
 
 
 def _check_dft(eps, tol):
@@ -218,47 +206,25 @@ def _check_patch_embed(eps, tol):
     cfg = micro_cfg()
     r = _rng(17)
     params = vit.init_vit_params(cfg, r)
-    x = r.random((2, cfg.image_size, cfg.image_size, 3))
     names = ["vit.patch.proj_w", "vit.patch.proj_b", "vit.patch.pos", "vit.patch.cls"]
-    w = probe_weights((2, 1 + cfg.grid ** 2, cfg.embed_dim), seed=9)
-
-    def fn(p):
-        full = {**params, **{k: p[k] for k in names}}
-        tokens, cache = vit.patch_embed_fwd(p["image"], full, cfg)
-        grads: dict = {}
-        dimg = vit.patch_embed_bwd(w, cache, grads)
-        grads["image"] = dimg
-        return float((w * tokens).sum()), grads
-
-    checked = {k: params[k] for k in names}
-    checked["image"] = x
-    return _probe(fn, checked, "vit.patch_embed", eps, tol, sample=COMPOSITE_COORDS)
+    image = r.random((2, cfg.image_size, cfg.image_size, 3))
+    return _module("vit.patch_embed", lambda x, p: vit.patch_embed_fwd(x, p, cfg),
+                   lambda dy, c, p, g: vit.patch_embed_bwd(dy, c, g),
+                   params, names, {"image": image}, 9, eps, tol)
 
 
 def _check_vit_block(eps, tol):
     cfg = micro_cfg()
     r = _rng(18)
-    params = {}
     gen = np.random.default_rng(55)
-    params.update(vit.init_vit_params(cfg, gen))
-    params.update(fsa.init_fsa_params(cfg, gen, "fsa.block0"))
+    params = {**vit.init_vit_params(cfg, gen), **fsa.init_fsa_params(cfg, gen, "fsa.block0")}
     # a zero fusion projection hides the adapter's interior from the check
-    params["fsa.block0.fuse_w"] = gen.normal(size=params["fsa.block0.fuse_w"].shape) * 0.1
+    _redraw(params, "fsa.block0.fuse_w", gen, 0.1)
     tokens = r.normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
-    w = probe_weights(tokens.shape, seed=10)
-    block_names = [k for k in params if k.startswith(("vit.block0", "fsa.block0"))]
-
-    def fn(p):
-        full = {**params, **{k: p[k] for k in block_names}}
-        y, cache = vit.vit_block_fwd(p["tokens"], full, "vit.block0", cfg, "fsa.block0")
-        grads: dict = {}
-        dtok = vit.vit_block_bwd(w, cache, full, grads)
-        grads["tokens"] = dtok
-        return float((w * y).sum()), grads
-
-    checked = {k: params[k] for k in block_names}
-    checked["tokens"] = tokens
-    return _probe(fn, checked, "vit.block_with_fsa", eps, tol, sample=COMPOSITE_COORDS)
+    names = [k for k in params if k.startswith(("vit.block0", "fsa.block0"))]
+    return _module("vit.block_with_fsa",
+                   lambda x, p: vit.vit_block_fwd(x, p, "vit.block0", cfg, "fsa.block0"),
+                   vit.vit_block_bwd, params, names, {"tokens": tokens}, 10, eps, tol)
 
 
 def _check_vit_full(eps, tol):
@@ -267,46 +233,22 @@ def _check_vit_full(eps, tol):
     params = vit.init_vit_params(cfg, gen)
     for i in range(cfg.depth):
         params.update(fsa.init_fsa_params(cfg, gen, f"fsa.block{i}"))
-        params[f"fsa.block{i}.fuse_w"] = gen.normal(
-            size=params[f"fsa.block{i}.fuse_w"].shape) * 0.1
+        _redraw(params, f"fsa.block{i}.fuse_w", gen, 0.1)
     image = np.random.default_rng(57).random((1, cfg.image_size, cfg.image_size, 3))
-    w = probe_weights((1, cfg.grid, cfg.grid, cfg.embed_dim), seed=11)
-
-    def fn(p):
-        full = dict(p)
-        full.pop("image")
-        fmap, cache = vit.vit_forward(p["image"], full, cfg)
-        grads: dict = {}
-        dimg = vit.vit_backward(w, cache, full, grads)
-        grads["image"] = dimg
-        return float((w * fmap).sum()), grads
-
-    checked = dict(params)
-    checked["image"] = image
-    return _probe(fn, checked, "vit.two_block_with_adapters", eps, tol, sample=8)
+    return _module("vit.two_block_with_adapters", lambda x, p: vit.vit_forward(x, p, cfg),
+                   vit.vit_backward, params, list(params), {"image": image}, 11, eps, tol,
+                   sample=8)
 
 
 def _check_fsa_forward(eps, tol):
     cfg = micro_cfg()
     gen = np.random.default_rng(58)
     params = fsa.init_fsa_params(cfg, gen, "fsa.block0")
-    params["fsa.block0.fuse_w"] = gen.normal(size=params["fsa.block0.fuse_w"].shape) * 0.2
-    params["fsa.block0.gains_log"] = gen.normal(size=params["fsa.block0.gains_log"].shape) * 0.3
+    _redraw(params, "fsa.block0.fuse_w", gen, 0.2)
+    _redraw(params, "fsa.block0.gains_log", gen, 0.3)
     tokens = np.random.default_rng(59).normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
-    w = probe_weights(tokens.shape, seed=12)
-
-    def fn(p):
-        full = dict(p)
-        full.pop("tokens")
-        y, cache = fsa.fsa_forward(p["tokens"], full, "fsa.block0", cfg)
-        grads: dict = {}
-        dtok = fsa.fsa_backward(w, cache, full, grads)
-        grads["tokens"] = dtok
-        return float((w * y).sum()), grads
-
-    checked = dict(params)
-    checked["tokens"] = tokens
-    return _probe(fn, checked, "fsa.forward", eps, tol, sample=COMPOSITE_COORDS)
+    return _module("fsa.forward", lambda x, p: fsa.fsa_forward(x, p, "fsa.block0", cfg),
+                   fsa.fsa_backward, params, list(params), {"tokens": tokens}, 12, eps, tol)
 
 
 KINK_MARGIN = 2e-3  # keep central-difference windows clear of ReLU corners
@@ -350,113 +292,56 @@ def _open_kink_margins(params, images, cfg, gate=False, margin=KINK_MARGIN):
 
 def _check_cnn(eps, tol):
     cfg = micro_cfg()
-    gen = np.random.default_rng(60)
-    params = cnn.init_cnn_params(cfg, gen)
-    stage_names = [k for k in params if not k.startswith("cnn.align")]
+    params = cnn.init_cnn_params(cfg, np.random.default_rng(60))
+    names = [k for k in params if not k.startswith("cnn.align")]
     image = np.random.default_rng(61).random((1, cfg.image_size, cfg.image_size, 3))
     _open_kink_margins(params, image, cfg)
-    y0, _ = cnn.cnn_forward(image, params, cfg)
-    w = probe_weights(y0.shape, seed=13)
-
-    def fn(p):
-        full = {**params, **{k: p[k] for k in stage_names}}
-        y, cache = cnn.cnn_forward(p["image"], full, cfg)
-        grads: dict = {}
-        dimg = cnn.cnn_backward(w, cache, grads)
-        grads["image"] = dimg
-        return float((w * y).sum()), {k: grads[k] for k in stage_names} | {"image": grads["image"]}
-
-    checked = {k: params[k] for k in stage_names}
-    checked["image"] = image
-    return _probe(fn, checked, "cnn.forward", eps, tol, sample=COMPOSITE_COORDS)
+    return _module("cnn.forward", lambda x, p: cnn.cnn_forward(x, p, cfg),
+                   lambda dy, c, p, g: cnn.cnn_backward(dy, c, g),
+                   params, names, {"image": image}, 13, eps, tol)
 
 
 def _check_align(eps, tol):
     cfg = micro_cfg()
-    gen = np.random.default_rng(62)
-    params = cnn.init_cnn_params(cfg, gen)
+    params = cnn.init_cnn_params(cfg, np.random.default_rng(62))
     fres = np.random.default_rng(63).normal(size=(2, cfg.cnn_grid, cfg.cnn_grid, cfg.cnn_channels))
-    w = probe_weights((2, cfg.grid, cfg.grid, cfg.embed_dim), seed=14)
-
-    def fn(p):
-        full = {**params, "cnn.align.w": p["cnn.align.w"], "cnn.align.b": p["cnn.align.b"]}
-        y, cache = cnn.align_upsample(p["fres"], full, cfg)
-        grads: dict = {}
-        dfres = cnn.align_backward(w, cache, grads)
-        grads["fres"] = dfres
-        return float((w * y).sum()), grads
-
-    checked = {"cnn.align.w": params["cnn.align.w"], "cnn.align.b": params["cnn.align.b"],
-               "fres": fres}
-    return _probe(fn, checked, "cnn.align_upsample", eps, tol, sample=COMPOSITE_COORDS)
+    return _module("cnn.align_upsample", lambda x, p: cnn.align_upsample(x, p, cfg),
+                   lambda dy, c, p, g: cnn.align_backward(dy, c, g),
+                   params, ["cnn.align.w", "cnn.align.b"], {"fres": fres}, 14, eps, tol)
 
 
 def _check_dfm(eps, tol, mode):
     cfg = micro_cfg()
-    gen = np.random.default_rng(64)
-    params = dfm.init_dfm_params(cfg, gen)
+    params = dfm.init_dfm_params(cfg, np.random.default_rng(64))
     r = np.random.default_rng(65)
-    fvit = r.normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim))
-    fres = r.normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim))
-    w = probe_weights(fvit.shape, seed=15)
-
-    def fn(p):
-        full = {k: p[k] for k in params}
-        y, cache = dfm.dfm_forward(p["fvit"], p["fres"], full, mode)
-        grads: dict = {}
-        dfvit, dfres = dfm.dfm_backward(w, cache, full, grads)
-        grads["fvit"] = dfvit
-        grads["fres"] = dfres
-        return float((w * y).sum()), grads
-
-    checked = dict(params)
-    checked.update({"fvit": fvit, "fres": fres})
-    return _probe(fn, checked, f"dfm.forward_{mode.replace('-', '_')}", eps, tol,
-                  sample=COMPOSITE_COORDS)
+    maps = {n: r.normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim)) for n in ("fvit", "fres")}
+    return _module(f"dfm.forward_{mode.replace('-', '_')}",
+                   lambda fvit, fres, p: dfm.dfm_forward(fvit, fres, p, mode),
+                   dfm.dfm_backward, params, list(params), maps, 15, eps, tol)
 
 
 def _check_head(eps, tol):
     cfg = micro_cfg()
     gen = np.random.default_rng(66)
     params = head.init_head_params(gen, cfg.embed_dim)
-    params["head.attn.wo"] = gen.normal(size=params["head.attn.wo"].shape) * 0.2
+    _redraw(params, "head.attn.wo", gen, 0.2)
     fmap = np.random.default_rng(67).normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim))
-    w = probe_weights((2, head.NUM_REGIONS * cfg.embed_dim), seed=16)
-
-    def fn(p):
-        full = dict(p)
-        full.pop("fmap")
-        desc, cache = head.head_forward(p["fmap"], full, cfg.num_heads, cross=True)
-        grads: dict = {}
-        dmap = head.head_backward(w, cache, grads)
-        grads["fmap"] = dmap
-        return float((w * desc).sum()), grads
-
-    checked = dict(params)
-    checked["fmap"] = fmap
-    return _probe(fn, checked, "head.forward", eps, tol, sample=COMPOSITE_COORDS)
+    return _module("head.forward", lambda x, p: head.head_forward(x, p, cfg.num_heads, cross=True),
+                   lambda dy, c, p, g: head.head_backward(dy, c, g),
+                   params, list(params), {"fmap": fmap}, 16, eps, tol)
 
 
 def _check_end_to_end(eps, tol):
     cfg = micro_cfg()
-    ablation = AblationFlags()
-    params = model_mod.init_model(cfg, ablation, seed=68)
+    params = model_mod.init_model(cfg, AblationFlags(), seed=68)
     for i in range(cfg.depth):
-        params[f"fsa.block{i}.fuse_w"] = np.random.default_rng(70 + i).normal(
-            size=params[f"fsa.block{i}.fuse_w"].shape) * 0.1
-    params["head.attn.wo"] = np.random.default_rng(80).normal(
-        size=params["head.attn.wo"].shape) * 0.2
+        _redraw(params, f"fsa.block{i}.fuse_w", np.random.default_rng(70 + i), 0.1)
+    _redraw(params, "head.attn.wo", np.random.default_rng(80), 0.2)
     images = np.random.default_rng(69).random((2, cfg.image_size, cfg.image_size, 3))
     _open_kink_margins(params, images, cfg, gate=True)
-    w = probe_weights((2, model_mod.descriptor_dim(params)), seed=17)
-
-    def fn(p):
-        desc, tape = model_mod.model_forward(images, p, cfg, cross=True)
-        grads: dict = {}
-        model_mod.model_backward(w, tape, p, grads)
-        return float((w * desc).sum()), grads
-
-    return _probe(fn, dict(params), "model.end_to_end", eps, tol, sample=6)
+    return _module("model.end_to_end",
+                   lambda p: model_mod.model_forward(images, p, cfg, cross=True),
+                   model_mod.model_backward, params, list(params), {}, 17, eps, tol, sample=6)
 
 
 def build_suite(scope: str = "all"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -68,10 +69,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic place world")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--places", type=int, required=True)
-    p.add_argument("--views", type=int, required=True)
+    p.add_argument("--places", type=int, required=True, help="at least 2")
+    p.add_argument("--views", type=int, required=True, help="views per place, at least 1")
     p.add_argument("--out", required=True)
-    p.add_argument("--size", type=int, default=64, help="image side in pixels")
+    p.add_argument("--size", type=int, default=64, help="image side in pixels, at least 28")
 
     p = sub.add_parser("train", help="fine-tune on a generated dataset")
     p.add_argument("--config", default=None, help="JSON run config")
@@ -95,7 +96,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", default="1,5,10", help="comma-separated N values")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--per-query", default=None, help="optional per-query CSV path")
-    p.add_argument("--threshold", type=float, default=25.0, help="match radius in meters")
+    p.add_argument("--threshold", type=float, default=25.0,
+                   help="match radius in meters, finite and >= 0")
     p.add_argument("--oracle-check", action="store_true",
                    help="cross-check against a brute-force recall computation")
     p.add_argument("--dump-descriptors", default=None, help="optional descriptor dump path")
@@ -215,6 +217,14 @@ def _brute_force_recall(q_desc, db_desc, db_ids, query_records, db_records, ns, 
 
 
 def cmd_eval(args) -> int:
+    try:
+        ns = sorted({int(s) for s in args.n.split(",") if s.strip()})
+    except ValueError:
+        ns = []
+    if not ns or ns[0] < 1:
+        raise UsageError(f"bad --n list {args.n!r}")
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        raise UsageError(f"--threshold must be a finite distance >= 0 m, got {args.threshold}")
     threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
     threads = run_config_from_dict({"threads": threads}).threads  # the config's range check
     params, mcfg = _load_model(args.checkpoint)
@@ -223,9 +233,6 @@ def cmd_eval(args) -> int:
     if images.shape[1] != mcfg.image_size:
         raise ConfigError(f"dataset images are {images.shape[1]}px but the checkpoint expects "
                           f"{mcfg.image_size}px")
-    ns = sorted({int(s) for s in args.n.split(",") if s.strip()})
-    if not ns or any(n < 1 for n in ns):
-        raise UsageError(f"bad --n list {args.n!r}")
     db_idx = [i for i, r in enumerate(records) if r.split == "database"]
     q_idx = [i for i, r in enumerate(records) if r.split == "query"]
     db_records = [records[i] for i in db_idx]

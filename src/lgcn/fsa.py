@@ -35,20 +35,16 @@ def fsa_param_count(cfg) -> int:
     return d * cr + cr * 9 + g * g * cr + 2 * cr * d + 1
 
 
-def spatial_branch_fwd(x, kernels, activation=True):
+def spatial_branch_fwd(x, kernels):
     """Depthwise 3x3 (pad 1) then GELU; channels never mix."""
     y1, c_dw = ops.depthwise_conv2d_fwd(x, kernels, padding=1)
-    if activation:
-        y2, c_act = ops.gelu_fwd(y1)
-    else:
-        y2, c_act = y1, None
+    y2, c_act = ops.gelu_fwd(y1)
     return y2, (c_dw, c_act)
 
 
 def spatial_branch_bwd(dy, cache):
     c_dw, c_act = cache
-    d1 = ops.gelu_bwd(dy, c_act) if c_act is not None else dy
-    return ops.depthwise_conv2d_bwd(d1, c_dw)
+    return ops.depthwise_conv2d_bwd(ops.gelu_bwd(dy, c_act), c_dw)
 
 
 def frequency_branch_fwd(x, gains):
@@ -69,12 +65,10 @@ def frequency_branch_bwd(dy, cache):
     return dx, dgains
 
 
-def fsa_forward(tokens, params, prefix, cfg, spatial_activation=True):
+def fsa_forward(tokens, params, prefix, cfg):
     """Residual term for a token sequence; the class-token row stays zero.
 
     tokens: (B, 1 + G^2, D), normally the block's post-LN activations.
-    spatial_activation=False switches the spatial branch to its pre-GELU
-    (linear) form, used by the superposition tests.
     """
     B, n, d = tokens.shape
     g = cfg.grid
@@ -82,7 +76,7 @@ def fsa_forward(tokens, params, prefix, cfg, spatial_activation=True):
         raise ops.ShapeError(f"fsa_forward: token count {n} != 1 + grid^2 = {1 + g * g}")
     fmap = tokens[:, 1:, :].reshape(B, g, g, d)
     down, c_down = ops.linear_fwd(fmap, params[f"{prefix}.down_w"])
-    sp, c_sp = spatial_branch_fwd(down, params[f"{prefix}.dw_k"], spatial_activation)
+    sp, c_sp = spatial_branch_fwd(down, params[f"{prefix}.dw_k"])
     gains = np.exp(params[f"{prefix}.gains_log"])
     fr, c_fr = frequency_branch_fwd(down, gains)
     cat = np.concatenate([sp, fr], axis=-1)

@@ -27,6 +27,17 @@ def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
+def _rejection(pname: str, grad, value) -> str:
+    """Why an analytic gradient cannot be compared, or "" when it can."""
+    if grad is None:
+        return f"missing gradient for {pname!r}"
+    if grad.shape != value.shape:
+        return f"gradient shape {grad.shape} != param shape {value.shape} for {pname!r}"
+    if not np.all(np.isfinite(grad)):
+        return f"non-finite gradient for {pname!r}"
+    return ""
+
+
 def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
                name: str = "fn", max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> GradCheckReport:
@@ -51,21 +62,11 @@ def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
     detail = ""
     for pname, value in work.items():
         grad = grads.get(pname)
-        if grad is None:
-            per_param[pname] = float("inf")
-            max_err = float("inf")
-            detail = f"missing gradient for {pname!r}"
-            continue
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != value.shape:
-            per_param[pname] = float("inf")
-            max_err = float("inf")
-            detail = f"gradient shape {grad.shape} != param shape {value.shape} for {pname!r}"
-            continue
-        if not np.all(np.isfinite(grad)):
-            per_param[pname] = float("inf")
-            max_err = float("inf")
-            detail = f"non-finite gradient for {pname!r}"
+        grad = None if grad is None else np.asarray(grad, dtype=np.float64)
+        rejected = _rejection(pname, grad, value)
+        if rejected:
+            per_param[pname] = max_err = float("inf")
+            detail = rejected
             continue
         n_coords = value.size
         if max_coords_per_param is not None and n_coords > max_coords_per_param:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .ppm import write_ppm
 from .retrieval import EARTH_RADIUS_M, ManifestRecord, save_manifest
 
@@ -24,6 +25,9 @@ GEOTAG_JITTER_M = 4.5
 MAX_VIEW_OFFSET = 0.2
 BASE_LAT = 37.0
 BASE_LON = -122.0
+# render_view places occluders of up to 18 px below the top third of the
+# image, which needs size - 18 > size // 3
+MIN_IMAGE_SIZE = 28
 
 N_RECTS = 6
 N_BLOBS = 5
@@ -177,10 +181,13 @@ def generate_world(seed: int, n_places: int, views_per_place: int, out_dir,
     """Render a world to out_dir/images plus out_dir/manifest.csv.
 
     Returns the manifest records. Per place, the first half of the views is
-    the database split and the rest are queries.
+    the database split and the rest are queries. A count or an image size
+    below its minimum raises ConfigError.
     """
-    if n_places < 2:
-        raise ValueError("generate_world: need at least 2 places")
+    for what, value, least in (("places", n_places, 2), ("views per place", views_per_place, 1),
+                               ("image size", image_size, MIN_IMAGE_SIZE)):
+        if value < least:
+            raise ConfigError(f"{what} must be >= {least}, got {value}")
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     grid_side = math.ceil(math.sqrt(n_places))
     records = []

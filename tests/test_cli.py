@@ -469,3 +469,36 @@ def test_eval_ablation_flags_drop_groups(tmp_path, world, variants, capsys,
     report = json.loads(out.read_text())
     assert report["fusion"] == fusion
     assert report["adapters_enabled"] == ("--disable-fsa" not in flags)
+
+
+@pytest.mark.parametrize("flags,bound", [
+    (["--places", "1"], "places must be >= 2"), (["--views", "0"], "views per place must be >= 1"),
+    (["--size", "27"], "image size must be >= 28"), (["--size", "0"], "image size must be >= 28"),
+], ids=["places-1", "views-0", "size-27", "size-0"])
+def test_gen_out_of_range_flag_is_usage_error(tmp_path, capsys, flags, bound):
+    # a repeated flag overrides the valid value before it
+    assert main(["gen", "--places", "2", "--views", "1", "--size", "28",
+                 "--out", str(tmp_path / "w"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {bound}")
+    assert not (tmp_path / "w" / "manifest.csv").exists()
+
+
+def test_gen_smallest_world_renders(tmp_path):
+    assert main(["gen", "--places", "2", "--views", "1", "--size", "28",
+                 "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "manifest.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "a,b"], ["--n", "1,x"], ["--n", "1.5"], ["--n", "0"], ["--n", ","],
+    ["--threshold", "nan"], ["--threshold", "inf"], ["--threshold", "-5"],
+], ids=["n-a-b", "n-1-x", "n-1.5", "n-0", "n-empty", "threshold-nan", "threshold-inf",
+        "threshold-minus-5"])
+def test_eval_bad_n_or_threshold_is_usage_error(tmp_path, world, trained, capsys, flags):
+    out = tmp_path / "r.json"
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
+                 "--data", str(world), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {'bad --n' if flags[0] == '--n' else '--threshold'}")
+    assert not out.exists()

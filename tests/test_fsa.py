@@ -26,7 +26,7 @@ def test_spatial_branch_identity_kernel_pre_activation(rng):
     x = rng.normal(size=(8, 8, cfg.adapter_dim))
     k = np.zeros((cfg.adapter_dim, 3, 3))
     k[:, 1, 1] = 1.0
-    y, _ = fsa.spatial_branch_fwd(x, k, activation=True)
+    y, _ = fsa.spatial_branch_fwd(x, k)
     np.testing.assert_allclose(y, ops.gelu_fwd(x)[0], atol=1e-12)
 
 
@@ -100,20 +100,6 @@ def test_fsa_matches_hand_composed_pipeline(rng):
     fused = np.concatenate([sp, fr], axis=-1) @ params["fsa.block0.fuse_w"]
     expected = fused * params["fsa.block0.scale"]
     assert np.abs(res[:, 1:, :].reshape(2, g, g, d) - expected).max() < 1e-10
-
-
-def test_fsa_linear_mode_superposition(rng):
-    """Unit gains + identity kernels + pre-GELU mode => linear map."""
-    cfg = toy_cfg()
-    gen = np.random.default_rng(5)
-    params = fsa.init_fsa_params(cfg, gen, "fsa.block0")
-    params["fsa.block0.fuse_w"] = gen.normal(size=params["fsa.block0.fuse_w"].shape) * 0.3
-    a = rng.normal(size=(1, 65, 64))
-    b = rng.normal(size=(1, 65, 64))
-    fa, _ = fsa.fsa_forward(a, params, "fsa.block0", cfg, spatial_activation=False)
-    fb, _ = fsa.fsa_forward(b, params, "fsa.block0", cfg, spatial_activation=False)
-    fab, _ = fsa.fsa_forward(a + b, params, "fsa.block0", cfg, spatial_activation=False)
-    assert np.abs(fab - (fa + fb)).max() < 1e-9
 
 
 @pytest.mark.parametrize("preset", ["toy", "paper"])

@@ -73,3 +73,19 @@ def test_suite_negative_control():
     finally:
         ops.INJECT_GRADIENT_BUG = False
     assert any(not r.passed for r in reports)
+
+
+def test_suite_composition_is_pinned():
+    """Every check and every checked tensor stays registered, in order."""
+    assert [(r.op_name, len(r.per_param_errors)) for r in run_suite("all")] == [
+        ("ops.linear", 3), ("ops.relu", 1), ("ops.gelu", 1), ("ops.sigmoid", 1),
+        ("ops.softplus", 1), ("ops.softmax", 1), ("ops.l2_normalize", 1),
+        ("ops.layernorm", 3), ("ops.conv2d_stride1", 3), ("ops.conv2d_stride2", 3),
+        ("ops.depthwise_conv2d", 2), ("ops.bilinear_resize", 1), ("ops.avg_pool2d", 1),
+        ("ops.attention", 3), ("ops.gem_pool", 1), ("spectral.dft2d", 1),
+        ("spectral.idft2d", 2), ("spectral.frequency_branch", 2),
+        ("trainer.triplet_loss", 3), ("vit.patch_embed", 5), ("vit.block_with_fsa", 22),
+        ("vit.two_block_with_adapters", 47), ("fsa.forward", 6), ("cnn.forward", 7),
+        ("cnn.align_upsample", 3), ("dfm.forward_paper_text", 8),
+        ("dfm.forward_verbatim_eq5", 8), ("head.forward", 9), ("model.end_to_end", 68),
+    ]

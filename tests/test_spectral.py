@@ -91,6 +91,11 @@ def test_frequency_branch_uniform_gain_is_homogeneous(rng):
     x = rng.normal(size=(8, 8, 2))
     y, _ = frequency_branch_fwd(x, np.full((8, 8, 2), 2.0))
     assert np.abs(y - 2 * x).max() < 1e-9
+    # for any fixed positive gains the branch is linear in its input
+    gains = np.exp(rng.normal(size=(8, 8, 2)))
+    a, b = rng.normal(size=(8, 8, 2)), rng.normal(size=(8, 8, 2))
+    fa, fb, fab = (frequency_branch_fwd(v, gains)[0] for v in (a, b, 2.0 * a - 3.0 * b))
+    assert np.abs(fab - (2.0 * fa - 3.0 * fb)).max() < 1e-9
 
 
 def test_frequency_branch_dc_boost_oracle(rng):
