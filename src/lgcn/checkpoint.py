@@ -3,11 +3,12 @@
 Checkpoint layout: magic, version, a JSON header with the model config,
 then a flat archive of named tensors (UTF-8 name, shape, raw little-endian
 scalars). Descriptor dumps: magic, version, count, dim, precision, then
-row-major little-endian vectors.
+row-major little-endian vectors. Every file is written through atomic_write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -30,8 +31,24 @@ class CheckpointError(ValueError):
     """Raised for malformed checkpoint or descriptor files."""
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """open(path, mode) through a temp file beside path that replaces it on success.
+
+    A run killed midway leaves the old file whole; an exception also removes the temp file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def save_checkpoint(path, params: dict, header: dict) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
         head = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -46,9 +63,7 @@ def save_checkpoint(path, params: dict, header: dict) -> None:
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<B", _DTYPE_FOR[arr.dtype]))
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<Q", d))
+            fh.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
             fh.write(arr.astype(_DTYPE_CODES[_DTYPE_FOR[arr.dtype]]).tobytes())
 
 
@@ -115,7 +130,7 @@ def save_descriptors(path, vectors: np.ndarray, precision: int = 8) -> None:
     if arr.ndim != 2:
         raise CheckpointError("descriptor dump expects a (count, dim) array")
     dtype = "<f8" if precision == 8 else "<f4"
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(DESC_MAGIC + struct.pack(_DESC_HEAD, DESC_VERSION, *arr.shape, precision))
         fh.write(arr.astype(dtype).tobytes())
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import cnn, dfm, fsa, head, model as model_mod, ops, spectral, trainer, vit
 from .config import AblationFlags, ModelConfig
 from .gradcheck import GradCheckReport, grad_check, probe_weights
+from .params import draw
 
 COMPOSITE_COORDS = 24
 
@@ -205,7 +206,7 @@ def _check_triplet(eps, tol):
 def _check_patch_embed(eps, tol):
     cfg = micro_cfg()
     r = _rng(17)
-    params = vit.init_vit_params(cfg, r)
+    params = draw(vit.vit_spec(cfg), r)
     names = ["vit.patch.proj_w", "vit.patch.proj_b", "vit.patch.pos", "vit.patch.cls"]
     image = r.random((2, cfg.image_size, cfg.image_size, 3))
     return _module("vit.patch_embed", lambda x, p: vit.patch_embed_fwd(x, p, cfg),
@@ -217,7 +218,7 @@ def _check_vit_block(eps, tol):
     cfg = micro_cfg()
     r = _rng(18)
     gen = np.random.default_rng(55)
-    params = {**vit.init_vit_params(cfg, gen), **fsa.init_fsa_params(cfg, gen, "fsa.block0")}
+    params = draw(vit.vit_spec(cfg) + fsa.fsa_spec(cfg, "fsa.block0"), gen)
     # a zero fusion projection hides the adapter's interior from the check
     _redraw(params, "fsa.block0.fuse_w", gen, 0.1)
     tokens = r.normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
@@ -230,9 +231,9 @@ def _check_vit_block(eps, tol):
 def _check_vit_full(eps, tol):
     cfg = micro_cfg()
     gen = np.random.default_rng(56)
-    params = vit.init_vit_params(cfg, gen)
+    params = draw(vit.vit_spec(cfg), gen)
     for i in range(cfg.depth):
-        params.update(fsa.init_fsa_params(cfg, gen, f"fsa.block{i}"))
+        params.update(draw(fsa.fsa_spec(cfg, f"fsa.block{i}"), gen))
         _redraw(params, f"fsa.block{i}.fuse_w", gen, 0.1)
     image = np.random.default_rng(57).random((1, cfg.image_size, cfg.image_size, 3))
     return _module("vit.two_block_with_adapters", lambda x, p: vit.vit_forward(x, p, cfg),
@@ -243,7 +244,7 @@ def _check_vit_full(eps, tol):
 def _check_fsa_forward(eps, tol):
     cfg = micro_cfg()
     gen = np.random.default_rng(58)
-    params = fsa.init_fsa_params(cfg, gen, "fsa.block0")
+    params = draw(fsa.fsa_spec(cfg, "fsa.block0"), gen)
     _redraw(params, "fsa.block0.fuse_w", gen, 0.2)
     _redraw(params, "fsa.block0.gains_log", gen, 0.3)
     tokens = np.random.default_rng(59).normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
@@ -292,7 +293,7 @@ def _open_kink_margins(params, images, cfg, gate=False, margin=KINK_MARGIN):
 
 def _check_cnn(eps, tol):
     cfg = micro_cfg()
-    params = cnn.init_cnn_params(cfg, np.random.default_rng(60))
+    params = draw(cnn.cnn_spec(cfg), np.random.default_rng(60))
     names = [k for k in params if not k.startswith("cnn.align")]
     image = np.random.default_rng(61).random((1, cfg.image_size, cfg.image_size, 3))
     _open_kink_margins(params, image, cfg)
@@ -303,7 +304,7 @@ def _check_cnn(eps, tol):
 
 def _check_align(eps, tol):
     cfg = micro_cfg()
-    params = cnn.init_cnn_params(cfg, np.random.default_rng(62))
+    params = draw(cnn.cnn_spec(cfg), np.random.default_rng(62))
     fres = np.random.default_rng(63).normal(size=(2, cfg.cnn_grid, cfg.cnn_grid, cfg.cnn_channels))
     return _module("cnn.align_upsample", lambda x, p: cnn.align_upsample(x, p, cfg),
                    lambda dy, c, p, g: cnn.align_backward(dy, c, g),
@@ -312,7 +313,7 @@ def _check_align(eps, tol):
 
 def _check_dfm(eps, tol, mode):
     cfg = micro_cfg()
-    params = dfm.init_dfm_params(cfg, np.random.default_rng(64))
+    params = draw(dfm.dfm_spec(cfg), np.random.default_rng(64))
     r = np.random.default_rng(65)
     maps = {n: r.normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim)) for n in ("fvit", "fres")}
     return _module(f"dfm.forward_{mode.replace('-', '_')}",
@@ -323,7 +324,7 @@ def _check_dfm(eps, tol, mode):
 def _check_head(eps, tol):
     cfg = micro_cfg()
     gen = np.random.default_rng(66)
-    params = head.init_head_params(gen, cfg.embed_dim)
+    params = draw(head.head_spec(cfg.embed_dim), gen)
     _redraw(params, "head.attn.wo", gen, 0.2)
     fmap = np.random.default_rng(67).normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim))
     return _module("head.forward", lambda x, p: head.head_forward(x, p, cfg.num_heads, cross=True),

@@ -9,6 +9,7 @@ config file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,14 +19,15 @@ import sys
 import numpy as np
 
 from . import ops
-from .checkpoint import (CheckpointError, load_checkpoint, save_descriptors)
+from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_descriptors
 from .checksuite import run_suite
-from .config import (ConfigError, apply_env_overrides, dump_run_config, load_run_config,
-                     run_config_from_dict, run_config_to_dict)
+from .config import (ConfigError, RunConfig, apply_env_overrides, dump_run_config,
+                     load_run_config, run_config_from_dict, run_config_to_dict)
 from .dataset import load_dataset
 from .dfm import DFM_MODES
 from .heatmap import export_heatmaps
-from .model import compute_descriptors, fusion_of, init_model
+from .model import (DROPPED_GROUPS, compute_descriptors, dropped_groups, fusion_of, init_model,
+                    param_spec)
 from .ppm import read_ppm
 from .retrieval import ManifestError, recall_at_n, search
 from .synthworld import generate_world
@@ -39,22 +41,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _env_default(name, conv, fallback):
-    raw = os.environ.get("LGCN_" + name)
-    if raw is None:
-        return fallback
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for LGCN_{name}: {raw!r}") from exc
-
-
-# The parameter groups each ablation flag leaves out: init_model never builds
-# them for train, and eval/heatmap drop them from the checkpoint.
-_DROPPED_GROUPS = {"disable_fsa": ("fsa.",), "disable_cnn_stream": ("cnn.", "dfm."),
-                   "disable_dfm": ("dfm.",)}
 
 
 def _add_ablation_flags(p):
@@ -122,7 +108,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _env_default("SEED", int, 0)
+    env = apply_env_overrides(RunConfig())
+    seed = args.seed if args.seed is not None else env.train.seed
     records = generate_world(seed, args.places, args.views, args.out, image_size=args.size)
     n_db = sum(1 for r in records if r.split == "database")
     print(f"wrote {len(records)} images ({n_db} database, {len(records) - n_db} query) "
@@ -136,15 +123,13 @@ def _effective_run_config(args):
     flags = {("train", "seed"): args.seed, ("train", "epochs"): args.epochs,
              ("train", "batch_size"): args.batch_size, ("train", "learning_rate"): args.lr,
              ("train", "k_negatives"): args.k_negatives,
-             ("train", "freeze_backbone"): args.freeze, ("model", "dfm_mode"): args.dfm_mode}
+             ("train", "freeze_backbone"): args.freeze, ("model", "dfm_mode"): args.dfm_mode,
+             **{("ablation", flag): getattr(args, flag) or None for flag in DROPPED_GROUPS}}
     for (section, key), value in flags.items():
         if value is not None:
             data[section][key] = value
     if args.threads is not None:
         data["threads"] = args.threads
-    for flag in _DROPPED_GROUPS:
-        if getattr(args, flag):
-            data["ablation"][flag] = True
     return run_config_from_dict(data)
 
 
@@ -171,7 +156,7 @@ def _load_model(path):
         cfg = run_config_from_dict({"model": None, "ablation": None, **header})
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
-    shapes = {n: v.shape for n, v in init_model(cfg.model, cfg.ablation, 0).items()}
+    shapes = {n: shape for n, shape, _ in param_spec(cfg.model, cfg.ablation)}
     for n, shape in shapes.items():  # earlier versions wrote 0-d tensors as shape (1,)
         if shape == () and n in params and params[n].shape == (1,):
             params[n] = params[n].reshape(())
@@ -188,8 +173,7 @@ def _ablated(params, args):
     if args.disable_cnn_stream and fusion_of(params) == "concat":
         raise UsageError("cannot disable the CNN stream of a concat-fusion checkpoint "
                          "(the head expects concatenated channels)")
-    drop = tuple(prefix for flag, prefixes in _DROPPED_GROUPS.items() if getattr(args, flag)
-                 for prefix in prefixes)
+    drop = dropped_groups(args)
     return {n: v for n, v in params.items() if not n.startswith(drop)}
 
 
@@ -225,8 +209,9 @@ def cmd_eval(args) -> int:
         raise UsageError(f"bad --n list {args.n!r}")
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise UsageError(f"--threshold must be a finite distance >= 0 m, got {args.threshold}")
-    threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
-    threads = run_config_from_dict({"threads": threads}).threads  # the config's range check
+    run = apply_env_overrides(RunConfig())
+    if args.threads is not None:
+        run = dataclasses.replace(run, threads=args.threads)
     params, mcfg = _load_model(args.checkpoint)
     params = _ablated(params, args)
     records, images = load_dataset(args.data)
@@ -237,8 +222,8 @@ def cmd_eval(args) -> int:
     q_idx = [i for i, r in enumerate(records) if r.split == "query"]
     db_records = [records[i] for i in db_idx]
     q_records = [records[i] for i in q_idx]
-    db_desc = compute_descriptors(images[db_idx], params, mcfg, threads=threads)
-    q_desc = compute_descriptors(images[q_idx], params, mcfg, threads=threads)
+    db_desc = compute_descriptors(images[db_idx], params, mcfg, threads=run.threads)
+    q_desc = compute_descriptors(images[q_idx], params, mcfg, threads=run.threads)
     k = min(max(ns), len(db_records))
     topk, sims = search(q_desc, db_desc, [r.id for r in db_records], k)
     result = recall_at_n(topk, q_records, db_records, ns, threshold_m=args.threshold)
@@ -252,11 +237,11 @@ def cmd_eval(args) -> int:
     report["descriptor_sha256"] = digest
     report["fusion"] = fusion_of(params)
     report["adapters_enabled"] = any(n.startswith("fsa.") for n in params)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out, encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.per_query:
-        with open(args.per_query, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(args.per_query, encoding="utf-8", newline="") as fh:
             fh.write("query_id,rank,db_id,similarity\n")
             for qi, q in enumerate(q_records):
                 for rank, did in enumerate(topk[qi], start=1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .params import acc_grad, he_init, zeros
+from .params import ZEROS, acc_grad, he
 
 
 def stage_channels(cfg) -> tuple[int, int, int]:
@@ -19,21 +19,21 @@ def stage_channels(cfg) -> tuple[int, int, int]:
     return max(1, c // 4), max(1, c // 2), c
 
 
-def init_cnn_params(cfg, rng) -> dict:
+def cnn_spec(cfg) -> list:
     c1, c2, c3 = stage_channels(cfg)
     d = cfg.embed_dim
     # Gains above plain He init keep the local stream comparable in scale to
     # the transformer stream at init (there is no batch norm to do it later).
-    return {
-        "cnn.stage1.w": he_init(rng, (c1, 3, 3, 3), fan_in=3 * 9) * 1.5,
-        "cnn.stage1.b": zeros((c1,)),
-        "cnn.stage2.w": he_init(rng, (c2, c1, 3, 3), fan_in=c1 * 9) * 1.5,
-        "cnn.stage2.b": zeros((c2,)),
-        "cnn.stage3.w": he_init(rng, (c3, c2, 3, 3), fan_in=c2 * 9) * 1.5,
-        "cnn.stage3.b": zeros((c3,)),
-        "cnn.align.w": he_init(rng, (d, c3, 3, 3), fan_in=c3 * 9) * 2.0,
-        "cnn.align.b": zeros((d,)),
-    }
+    return [
+        ("cnn.stage1.w", (c1, 3, 3, 3), he(3 * 9, 1.5)),
+        ("cnn.stage1.b", (c1,), ZEROS),
+        ("cnn.stage2.w", (c2, c1, 3, 3), he(c1 * 9, 1.5)),
+        ("cnn.stage2.b", (c2,), ZEROS),
+        ("cnn.stage3.w", (c3, c2, 3, 3), he(c2 * 9, 1.5)),
+        ("cnn.stage3.b", (c3,), ZEROS),
+        ("cnn.align.w", (d, c3, 3, 3), he(c3 * 9, 2.0)),
+        ("cnn.align.b", (d,), ZEROS),
+    ]
 
 
 def cnn_forward(images, params, cfg):

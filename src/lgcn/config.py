@@ -9,6 +9,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from .checkpoint import atomic_write
+
 
 class ConfigError(ValueError):
     """Raised for invalid or unknown configuration content."""
@@ -144,7 +146,7 @@ class TrainConfig:
 
 @dataclass
 class AblationFlags:
-    """Variant switches mirroring the ablation table; init_model maps them to groups."""
+    """Variant switches mirroring the ablation table; model.param_spec maps them to groups."""
 
     disable_fsa: bool = False
     disable_cnn_stream: bool = False
@@ -159,6 +161,10 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     ablation: AblationFlags = field(default_factory=AblationFlags)
     threads: int = 1
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
 
 
 def _defaults(cls) -> dict:
@@ -194,12 +200,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
                         {**_defaults(AblationFlags), "static_fusion": False})
     if ablation.pop("static_fusion", False):
         ablation["disable_dfm"] = True
-    threads = top.get("threads", 1)
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     return RunConfig(model=ModelConfig.from_preset(preset, **model),
                      train=TrainConfig(**train), ablation=AblationFlags(**ablation),
-                     threads=threads)
+                     threads=top.get("threads", 1))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -223,7 +226,7 @@ def load_run_config(path: str | None) -> RunConfig:
 
 
 def dump_run_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(run_config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -14,21 +14,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .params import acc_grad, normal_init, scalar, zeros
+from .params import ONES, ZEROS, acc_grad, normal
 
 DFM_MODES = ("paper-text", "verbatim-eq5")
 
 
-def init_dfm_params(cfg, rng) -> dict:
+def dfm_spec(cfg) -> list:
     d, d4 = cfg.embed_dim, cfg.gate_dim
-    return {
-        "dfm.w1": normal_init(rng, (d, d4)),
-        "dfm.b1": zeros((d4,)),
-        "dfm.w2": normal_init(rng, (d4, d)),
-        "dfm.b2": zeros((d,)),
-        "dfm.alpha1": scalar(1.0),
-        "dfm.alpha2": scalar(1.0),
-    }
+    return [
+        ("dfm.w1", (d, d4), normal()),
+        ("dfm.b1", (d4,), ZEROS),
+        ("dfm.w2", (d4, d), normal()),
+        ("dfm.b2", (d,), ZEROS),
+        ("dfm.alpha1", (), ONES),
+        ("dfm.alpha2", (), ONES),
+    ]
 
 
 def gate_weights_fwd(f, params):

@@ -14,25 +14,25 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops, spectral
-from .params import acc_grad, normal_init, scalar, zeros
+from .params import ZEROS, acc_grad, const, normal
 
 
-def init_fsa_params(cfg, rng, prefix: str) -> dict:
+def _identity_taps(rng, shape):
+    """Depthwise kernels that start the spatial branch as a pass-through."""
+    taps = np.zeros(shape)
+    taps[:, 1, 1] = 1.0
+    return taps
+
+
+def fsa_spec(cfg, prefix: str) -> list:
     d, cr, g = cfg.embed_dim, cfg.adapter_dim, cfg.grid
-    dw = np.zeros((cr, 3, 3))
-    dw[:, 1, 1] = 1.0  # identity taps: spatial branch starts as a pass-through
-    return {
-        f"{prefix}.down_w": normal_init(rng, (d, cr)),
-        f"{prefix}.dw_k": dw,
-        f"{prefix}.gains_log": zeros((g, g, cr)),
-        f"{prefix}.fuse_w": zeros((2 * cr, d)),
-        f"{prefix}.scale": scalar(cfg.adapter_scale_init),
-    }
-
-
-def fsa_param_count(cfg) -> int:
-    d, cr, g = cfg.embed_dim, cfg.adapter_dim, cfg.grid
-    return d * cr + cr * 9 + g * g * cr + 2 * cr * d + 1
+    return [
+        (f"{prefix}.down_w", (d, cr), normal()),
+        (f"{prefix}.dw_k", (cr, 3, 3), _identity_taps),
+        (f"{prefix}.gains_log", (g, g, cr), ZEROS),
+        (f"{prefix}.fuse_w", (2 * cr, d), ZEROS),
+        (f"{prefix}.scale", (), const(cfg.adapter_scale_init)),
+    ]
 
 
 def spatial_branch_fwd(x, kernels):

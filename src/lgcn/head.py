@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .params import normal_init, zeros
+from .params import ZEROS, normal
 from .vit import mhsa_bwd, mhsa_fwd
 
 GEM_P = 3.0
@@ -24,14 +24,12 @@ class DegenerateDescriptorError(ValueError):
     """Raised when a descriptor would be the zero vector."""
 
 
-def init_head_params(rng, channels: int) -> dict:
-    p = {}
-    for proj in ("wq", "wk", "wv"):
-        p[f"head.attn.{proj}"] = normal_init(rng, (channels, channels))
-    p["head.attn.wo"] = zeros((channels, channels))  # attention is a no-op at init
-    for bias in ("bq", "bk", "bv", "bo"):
-        p[f"head.attn.{bias}"] = zeros((channels,))
-    return p
+def head_spec(channels: int) -> list:
+    return [
+        *((f"head.attn.{proj}", (channels, channels), normal()) for proj in ("wq", "wk", "wv")),
+        ("head.attn.wo", (channels, channels), ZEROS),  # attention is a no-op at init
+        *((f"head.attn.{bias}", (channels,), ZEROS) for bias in ("bq", "bk", "bv", "bo")),
+    ]
 
 
 def _region_slices(g: int):

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cnn, dfm, head, vit
+from . import cnn, dfm, fsa, head, vit
 from .config import AblationFlags, ModelConfig
-from .fsa import init_fsa_params
+from .params import draw
 
 
 def fusion_of(params) -> str:
-    """The fusion a parameter dict encodes: the inverse of init_model.
+    """The fusion a parameter dict encodes: the inverse of param_spec.
 
     No CNN stream is "vit-only" and a DFM group is "dfm". Otherwise the head
     width decides: the two streams' channels side by side is "concat", one
@@ -32,26 +32,34 @@ def descriptor_dim(params) -> int:
     return head.NUM_REGIONS * params["head.attn.wq"].shape[0]
 
 
-def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
-    """Seeded parameter construction; insertion order is the archive order.
+# The parameter groups each ablation flag leaves out: param_spec never lists
+# them, and eval/heatmap drop them from a checkpoint.
+DROPPED_GROUPS = {"disable_fsa": ("fsa.",), "disable_cnn_stream": ("cnn.", "dfm."),
+                  "disable_dfm": ("dfm.",)}
 
-    The flags pick the parameter groups, and the groups are the variant:
-    every forward reads its fusion from them (see fusion_of).
-    """
-    rng = np.random.default_rng(seed)
-    params = {}
-    params.update(vit.init_vit_params(cfg, rng))
-    if not ablation.disable_fsa:
-        for i in range(cfg.depth):
-            params.update(init_fsa_params(cfg, rng, f"fsa.block{i}"))
-    cnn_stream = not ablation.disable_cnn_stream
-    if cnn_stream:
-        params.update(cnn.init_cnn_params(cfg, rng))
-        if not ablation.disable_dfm:
-            params.update(dfm.init_dfm_params(cfg, rng))
-    concat = cnn_stream and ablation.disable_dfm
-    params.update(head.init_head_params(rng, (2 if concat else 1) * cfg.embed_dim))
-    return params
+
+def dropped_groups(flags) -> tuple[str, ...]:
+    """Name prefixes of the groups that flags (AblationFlags or parsed args) leave out."""
+    return tuple(prefix for flag, prefixes in DROPPED_GROUPS.items() if getattr(flags, flag)
+                 for prefix in prefixes)
+
+
+def param_spec(cfg: ModelConfig, ablation: AblationFlags) -> list:
+    """The variant's (name, shape, initialiser) list, in archive order.
+
+    The flags pick the groups, and every forward reads its fusion from them (fusion_of)."""
+    concat = not ablation.disable_cnn_stream and ablation.disable_dfm
+    spec = [*vit.vit_spec(cfg),
+            *(entry for i in range(cfg.depth) for entry in fsa.fsa_spec(cfg, f"fsa.block{i}")),
+            *cnn.cnn_spec(cfg), *dfm.dfm_spec(cfg),
+            *head.head_spec((2 if concat else 1) * cfg.embed_dim)]
+    drop = dropped_groups(ablation)
+    return [entry for entry in spec if not entry[0].startswith(drop)]
+
+
+def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
+    """Seeded parameters of the variant that param_spec lists."""
+    return draw(param_spec(cfg, ablation), np.random.default_rng(seed))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Parameter-dict helpers: init, gradient accumulation, freezing groups."""
+"""Parameter-dict helpers: spec drawing, gradient accumulation, freezing groups."""
 
 from __future__ import annotations
 
@@ -15,24 +15,31 @@ def acc_grad(grads: dict, name: str, g: np.ndarray) -> None:
         grads[name] = g
 
 
-def normal_init(rng: np.random.Generator, shape, std=0.02) -> np.ndarray:
-    return rng.normal(0.0, std, size=shape)
+def normal(std=0.02):
+    """Initialiser: N(0, std^2) draws."""
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
 
 
-def he_init(rng: np.random.Generator, shape, fan_in) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+def he(fan_in, gain):
+    """Initialiser: He-normal draws times gain (folded into the std, it moves the last bit)."""
+    return lambda rng, shape: rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape) * gain
 
 
-def zeros(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
+def const(value):
+    """Initialiser that fills the shape with value and draws nothing."""
+    return lambda rng, shape: np.full(shape, float(value))
 
 
-def ones(shape) -> np.ndarray:
-    return np.ones(shape, dtype=np.float64)
+ZEROS = const(0.0)
+ONES = const(1.0)
 
 
-def scalar(value: float) -> np.ndarray:
-    return np.array(float(value), dtype=np.float64)
+def draw(spec, rng) -> dict:
+    """The parameter dict of an ordered (name, shape, initialiser) spec.
+
+    Initialisers run in spec order and only the random ones consume rng.
+    """
+    return {name: init(rng, shape) for name, shape, init in spec}
 
 
 def wants(trainable, *names) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
-from .checkpoint import group_sha256, save_checkpoint
+from .checkpoint import atomic_write, group_sha256, save_checkpoint
 from .config import AblationFlags, ModelConfig, TrainConfig
 from .params import trainable_names
 from .retrieval import geodistance_matrix, place_relations, rank, recall_at_n, search, similarities
@@ -256,12 +256,9 @@ def _dump_nan_diag(out_dir, epoch, step, params):
 
 
 def write_report(report: TrainReport, out_dir) -> None:
-    with open(os.path.join(out_dir, "report.jsonl"), "w", encoding="utf-8") as fh:
-        for row in report.rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "timing.jsonl"), "w", encoding="utf-8") as fh:
-        for row in report.timings:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    for name, rows in (("report.jsonl", report.rows), ("timing.jsonl", report.timings)):
+        with atomic_write(os.path.join(out_dir, name), encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    with atomic_write(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
         json.dump({"checksums": report.checksums, "final": report.rows[-1]},
                   fh, indent=2, sort_keys=True)

@@ -11,44 +11,28 @@ from __future__ import annotations
 import numpy as np
 
 from . import fsa, ops
-from .params import acc_grad, normal_init, ones, wants, wants_group, zeros
+from .params import ONES, ZEROS, acc_grad, normal, wants, wants_group
 
 FFN_RATIO = 4
 
 
-def init_vit_params(cfg, rng) -> dict:
-    d = cfg.embed_dim
-    g = cfg.grid
-    patch_in = cfg.patch_size * cfg.patch_size * 3
+def vit_spec(cfg) -> list:
+    d, g, h = cfg.embed_dim, cfg.grid, FFN_RATIO * cfg.embed_dim
     # Patch projection init is deliberately strong: the backbone stays frozen
     # and random at desk scale, so the image-dependent component has to
     # dominate the (image-independent) positional embeddings.
-    p = {
-        "vit.patch.proj_w": normal_init(rng, (patch_in, d), std=0.24),
-        "vit.patch.proj_b": zeros((d,)),
-        "vit.patch.pos": normal_init(rng, (g * g, d)),
-        "vit.patch.cls": normal_init(rng, (d,)),
-    }
-    for i in range(cfg.depth):
-        pre = f"vit.block{i}"
-        p[f"{pre}.ln1.g"] = ones((d,))
-        p[f"{pre}.ln1.b"] = zeros((d,))
-        for proj in ("wq", "wk", "wv", "wo"):
-            p[f"{pre}.attn.{proj}"] = normal_init(rng, (d, d))
-        for bias in ("bq", "bk", "bv", "bo"):
-            p[f"{pre}.attn.{bias}"] = zeros((d,))
-        p[f"{pre}.ln2.g"] = ones((d,))
-        p[f"{pre}.ln2.b"] = zeros((d,))
-        p[f"{pre}.ffn.w1"] = normal_init(rng, (d, FFN_RATIO * d))
-        p[f"{pre}.ffn.b1"] = zeros((FFN_RATIO * d,))
-        p[f"{pre}.ffn.w2"] = normal_init(rng, (FFN_RATIO * d, d))
-        p[f"{pre}.ffn.b2"] = zeros((d,))
-    return p
-
-
-def block_param_count(cfg) -> int:
-    d = cfg.embed_dim
-    return 2 * (2 * d) + 4 * (d * d + d) + d * 4 * d + 4 * d + 4 * d * d + d
+    patch = [("vit.patch.proj_w", (cfg.patch_size * cfg.patch_size * 3, d), normal(0.24)),
+             ("vit.patch.proj_b", (d,), ZEROS),
+             ("vit.patch.pos", (g * g, d), normal()),
+             ("vit.patch.cls", (d,), normal())]
+    block = [("ln1.g", (d,), ONES), ("ln1.b", (d,), ZEROS),
+             *((f"attn.{proj}", (d, d), normal()) for proj in ("wq", "wk", "wv", "wo")),
+             *((f"attn.{bias}", (d,), ZEROS) for bias in ("bq", "bk", "bv", "bo")),
+             ("ln2.g", (d,), ONES), ("ln2.b", (d,), ZEROS),
+             ("ffn.w1", (d, h), normal()), ("ffn.b1", (h,), ZEROS),
+             ("ffn.w2", (h, d), normal()), ("ffn.b2", (d,), ZEROS)]
+    return patch + [(f"vit.block{i}.{name}", shape, init)
+                    for i in range(cfg.depth) for name, shape, init in block]
 
 
 def patch_embed_fwd(images, params, cfg):

@@ -15,9 +15,9 @@ import numpy as np
 
 from lgcn import dfm, fsa, model as model_mod, spectral, trainer, vit
 from lgcn.checkpoint import group_sha256
-from lgcn.checksuite import run_suite
-from lgcn.cnn import align_trace, align_upsample, cnn_forward, init_cnn_params
+from lgcn.cnn import align_trace, align_upsample, cnn_forward, cnn_spec
 from lgcn.config import AblationFlags, ModelConfig, TrainConfig
+from lgcn.params import draw
 from lgcn.retrieval import ManifestRecord, recall_at_n, search
 from lgcn.synthworld import (BASE_LAT, BASE_LON, _meters_to_degrees, make_place,
                              render_view, sample_condition)
@@ -54,10 +54,8 @@ def build_world(seed: int, n_places: int, views: int, size: int = 64):
 # 1. gradient suite
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_gradient_suite():
-    t0 = time.monotonic()
-    reports = run_suite("all", eps=1e-4, tol=1e-4)
-    elapsed = time.monotonic() - t0
+def test_criterion_1_gradient_suite(gradcheck_suite):
+    reports, elapsed = gradcheck_suite
     failed = [r.op_name for r in reports if not r.passed]
     worst = max(r.max_rel_error for r in reports)
     ok = not failed and elapsed <= 300.0
@@ -95,7 +93,7 @@ def test_criterion_2_spectral_invariants():
 
 def test_criterion_3_dfm_algebra():
     cfg = ModelConfig.toy()
-    params = dfm.init_dfm_params(cfg, np.random.default_rng(0))
+    params = draw(dfm.dfm_spec(cfg), np.random.default_rng(0))
     r = np.random.default_rng(1)
     fvit = r.normal(size=(2, 8, 8, 64))
     fres = r.normal(size=(2, 8, 8, 64))
@@ -120,11 +118,11 @@ def test_criterion_3_dfm_algebra():
 def test_criterion_4_paper_shape_parity():
     cfg = ModelConfig.paper()
     gen = np.random.default_rng(0)
-    params = vit.init_vit_params(cfg, gen)
+    params = draw(vit.vit_spec(cfg), gen)
     for i in range(cfg.depth):
-        params.update(fsa.init_fsa_params(cfg, gen, f"fsa.block{i}"))
-    params.update(init_cnn_params(cfg, gen))
-    dfm_params = dfm.init_dfm_params(cfg, gen)
+        params.update(draw(fsa.fsa_spec(cfg, f"fsa.block{i}"), gen))
+    params.update(draw(cnn_spec(cfg), gen))
+    dfm_params = draw(dfm.dfm_spec(cfg), gen)
 
     image = np.random.default_rng(7).random((1, 224, 224, 3))
     fvit, _ = vit.vit_forward(image, params, cfg)

@@ -169,3 +169,19 @@ def test_descriptor_dump_rejects_truncated_fields(tmp_path, rng):
         path.write_bytes(data[:cut])
         with pytest.raises(ck.CheckpointError, match="truncated"):
             ck.load_descriptors(path)
+
+
+@pytest.mark.parametrize("how", ["save_checkpoint", "atomic_write"])
+def test_failed_write_keeps_previous_file(tmp_path, rng, how):
+    path = tmp_path / "model.ckpt"
+    ck.save_checkpoint(path, {"a": rng.normal(size=(3, 2))}, {"epoch": 1})
+    before = path.read_bytes()
+    with pytest.raises((TypeError, RuntimeError)):
+        if how == "save_checkpoint":  # the second tensor fails after the first is written
+            ck.save_checkpoint(path, {"a": np.ones((64, 64)), "b": object()}, {"epoch": 2})
+        else:
+            with ck.atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("killed midway")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -395,6 +395,28 @@ def test_out_of_range_config_value_is_usage_error(tmp_path, world, capsys, key, 
     assert not (tmp_path / "o" / "checkpoint-epoch001.ckpt").exists()
 
 
+def test_paper_header_is_rejected_without_building_the_model(tmp_path, world, capsys):
+    """The shape check reads the header's parameter table and draws nothing."""
+    import tracemalloc
+
+    from lgcn.checkpoint import CheckpointError, save_checkpoint
+    from lgcn.cli import _load_model
+    ckpt = tmp_path / "paper.ckpt"
+    save_checkpoint(ckpt, {"head.attn.wq": np.zeros((4, 4))},
+                    {"model": {"preset": "paper"}, "ablation": {}})
+    code, err = _eval_exit(tmp_path, world, ckpt, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "differ from the header" in err
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="differ from the header"):
+            _load_model(ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20  # the paper model itself is 113,185,998 float64 values
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_env_learning_rate_is_usage_error(tmp_path, world, capsys, monkeypatch, value):
     monkeypatch.setenv("LGCN_LEARNING_RATE", value)
@@ -412,6 +434,18 @@ def test_eval_threads_below_one_is_usage_error(tmp_path, world, trained, capsys,
     assert main(["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
                  "--data", str(world), "--out", str(tmp_path / "r.json"), *flags]) == 1
     assert capsys.readouterr().err == "usage error: threads must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+def test_malformed_unrelated_env_value_is_usage_error(tmp_path, world, trained, capsys,
+                                                      monkeypatch, command):
+    monkeypatch.setenv("LGCN_EPOCHS", "many")
+    argv = {"gen": ["gen", "--places", "2", "--views", "1", "--out", str(tmp_path / "w")],
+            "eval": ["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
+                     "--data", str(world), "--out", str(tmp_path / "r.json")]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: bad value for LGCN_EPOCHS: 'many'\n"
+    assert not (tmp_path / "w").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_train_flags_over_env_over_file(tmp_path, monkeypatch):

@@ -5,11 +5,12 @@ import pytest
 
 from lgcn import cnn, vit
 from lgcn.config import ModelConfig
+from lgcn.params import draw
 
 
 def test_toy_shape(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     fres, _ = cnn.cnn_forward(rng.random((2, 64, 64, 3)), params, cfg)
     assert fres.shape == (2, 4, 4, 96)
 
@@ -17,21 +18,21 @@ def test_toy_shape(rng):
 def test_paper_shape(rng):
     """Documentation test with random weights: 224x224x3 -> 7x7x1024."""
     cfg = ModelConfig.paper()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     fres, _ = cnn.cnn_forward(rng.random((1, 224, 224, 3)), params, cfg)
     assert fres.shape == (1, 7, 7, 1024)
 
 
 def test_zero_image_zero_bias_gives_zero_map(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     fres, _ = cnn.cnn_forward(np.zeros((1, 64, 64, 3)), params, cfg)
     np.testing.assert_array_equal(fres, 0.0)
 
 
 def test_backward_without_image_gradient_keeps_weight_gradients(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     fres, cache = cnn.cnn_forward(rng.random((2, 64, 64, 3)), params, cfg)
     dy = rng.normal(size=fres.shape)
     full, limited = {}, {}
@@ -45,7 +46,7 @@ def test_backward_without_image_gradient_keeps_weight_gradients(rng):
 
 def test_align_toy_trace(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     fres = rng.normal(size=(1, 4, 4, 96))
     out, cache = cnn.align_upsample(fres, params, cfg)
     assert out.shape == (1, 8, 8, 64)
@@ -59,8 +60,8 @@ def test_align_output_matches_vit_shape(rng):
     for cfg in (ModelConfig.toy(),
                 ModelConfig(preset="toy", image_size=32, patch_size=8, embed_dim=16,
                             num_heads=2, depth=2, cnn_channels=8, cnn_grid=2, align_mid=3)):
-        params = cnn.init_cnn_params(cfg, rng)
-        vit_params = vit.init_vit_params(cfg, rng)
+        params = draw(cnn.cnn_spec(cfg), rng)
+        vit_params = draw(vit.vit_spec(cfg), rng)
         image = rng.random((1, cfg.image_size, cfg.image_size, 3))
         fres, _ = cnn.cnn_forward(image, params, cfg)
         aligned, _ = cnn.align_upsample(fres, params, cfg)
@@ -70,7 +71,7 @@ def test_align_output_matches_vit_shape(rng):
 
 def test_align_constant_preserved_through_identity_conv(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     d, c3 = cfg.embed_dim, cfg.cnn_channels
     w = np.zeros((d, c3, 3, 3))
     for i in range(d):
@@ -84,7 +85,7 @@ def test_align_constant_preserved_through_identity_conv(rng):
 
 def test_align_linear_superposition_with_zero_bias(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     params["cnn.align.b"] = np.zeros(cfg.embed_dim)
     a = rng.normal(size=(1, 4, 4, 96))
     b = rng.normal(size=(1, 4, 4, 96))
@@ -102,7 +103,7 @@ def test_align_mid_must_sit_between_grids():
 
 def test_stage_halving(rng):
     cfg = ModelConfig.toy()
-    params = cnn.init_cnn_params(cfg, rng)
+    params = draw(cnn.cnn_spec(cfg), rng)
     from lgcn import ops
     x = rng.random((1, 64, 64, 3))
     s1, _ = ops.conv2d_fwd(x, params["cnn.stage1.w"], params["cnn.stage1.b"], stride=2, padding=1)

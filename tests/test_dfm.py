@@ -6,6 +6,7 @@ import pytest
 from lgcn import dfm
 from lgcn.config import ModelConfig
 from lgcn.ops import ShapeError
+from lgcn.params import draw
 
 
 def toy_cfg():
@@ -13,7 +14,7 @@ def toy_cfg():
 
 
 def make_params(seed=0):
-    return dfm.init_dfm_params(toy_cfg(), np.random.default_rng(seed))
+    return draw(dfm.dfm_spec(toy_cfg()), np.random.default_rng(seed))
 
 
 def test_gate_of_zero_input_is_half():
@@ -33,7 +34,7 @@ def test_gate_matches_per_position_matrix_oracle(rng):
     """2x2x8 case against an independent per-pixel two-matrix composition."""
     cfg = ModelConfig(preset="toy", image_size=16, patch_size=8, embed_dim=8,
                       num_heads=2, depth=1, cnn_channels=4, cnn_grid=2, align_mid=2)
-    params = dfm.init_dfm_params(cfg, np.random.default_rng(3))
+    params = draw(dfm.dfm_spec(cfg), np.random.default_rng(3))
     f = rng.normal(size=(1, 2, 2, 8))
     omega, _ = dfm.gate_weights_fwd(f, params)
     for i in range(2):
@@ -125,6 +126,6 @@ def test_unknown_mode_rejected(rng):
 
 def test_paper_preset_gate_dims():
     cfg = ModelConfig.paper()
-    params = dfm.init_dfm_params(cfg, np.random.default_rng(0))
+    params = draw(dfm.dfm_spec(cfg), np.random.default_rng(0))
     assert params["dfm.w1"].shape == (768, 192)
     assert params["dfm.w2"].shape == (192, 768)

@@ -75,9 +75,10 @@ def test_suite_negative_control():
     assert any(not r.passed for r in reports)
 
 
-def test_suite_composition_is_pinned():
+def test_suite_composition_is_pinned(gradcheck_suite):
     """Every check and every checked tensor stays registered, in order."""
-    assert [(r.op_name, len(r.per_param_errors)) for r in run_suite("all")] == [
+    reports, _ = gradcheck_suite
+    assert [(r.op_name, len(r.per_param_errors)) for r in reports] == [
         ("ops.linear", 3), ("ops.relu", 1), ("ops.gelu", 1), ("ops.sigmoid", 1),
         ("ops.softplus", 1), ("ops.softmax", 1), ("ops.l2_normalize", 1),
         ("ops.layernorm", 3), ("ops.conv2d_stride1", 3), ("ops.conv2d_stride2", 3),

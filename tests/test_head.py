@@ -6,6 +6,7 @@ import pytest
 from lgcn import head, ops, vit
 from lgcn.config import AblationFlags, ModelConfig
 from lgcn.model import init_model, model_forward
+from lgcn.params import draw
 
 
 def softplus(x):
@@ -14,7 +15,7 @@ def softplus(x):
 
 def make_head_params(channels=64, seed=0, random_out=False):
     gen = np.random.default_rng(seed)
-    params = head.init_head_params(gen, channels)
+    params = draw(head.head_spec(channels), gen)
     if random_out:
         params["head.attn.wo"] = gen.normal(size=(channels, channels)) * 0.3
     return params

@@ -1,12 +1,15 @@
 """Assembled-model tests: fusion variants, descriptor batching, heatmaps."""
 
+import math
+
 import numpy as np
 import pytest
 
+from lgcn.checkpoint import group_sha256
 from lgcn.config import AblationFlags, ModelConfig
 from lgcn.heatmap import export_heatmaps, response_scalar
 from lgcn.model import (compute_descriptors, descriptor_dim, fusion_of, init_model,
-                        model_backward, model_forward, stream_maps)
+                        model_backward, model_forward, param_spec, stream_maps)
 from lgcn.params import trainable_names
 from lgcn.ppm import read_ppm
 
@@ -78,6 +81,51 @@ def test_init_deterministic():
     assert list(a) == list(b)
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
+
+
+# (disable_fsa, disable_cnn_stream, disable_dfm) -> toy preset at seed 0:
+# (tensors, elements, group_sha256), then the paper preset's (tensors, elements).
+# The digests pin the draw order and every drawn bit, so checkpoints written
+# by earlier versions keep loading as the same model.
+_INIT_PINS = {
+    (False, False, False): (110, 377158, "93fcf3818cfa1b88b9242bc74ec3715bd05e2619ee0dfb96f1417c8bef33c020",
+                            278, 113185998),
+    (False, False, True): (104, 424436, "683736ca2440232e4ddc7e69a83655f389d0aea3b7da600e9205dca0b9c1f625",
+                           272, 119971084),
+    (False, True, False): (96, 267012, "be7836f982b7d8703affe33fe70ea3ba325ee3d13c87a3c7ab25a041ecad70e7",
+                           264, 99904524),
+    (True, False, False): (90, 343234, "7554469a0f3e1a2780cf7a478702923783a55950e2d5b8b5df61b9af6e38e6ed",
+                           218, 101348034),
+    (True, False, True): (84, 390512, "9191efc085c1d56fbce27b8b6b14475aab6663a45bc8fe6baea288a9b6a9b494",
+                          212, 108133120),
+    (True, True, False): (76, 233088, "a3bd6a33f09491a1ef747aadfc9efb2cf0b9340dd4745cee89e829183c3191eb",
+                          204, 88066560),
+}
+for _fsa_off in (False, True):  # without a CNN stream the DFM flag changes nothing
+    _INIT_PINS[(_fsa_off, True, True)] = _INIT_PINS[(_fsa_off, True, False)]
+_ALL_FLAGS = sorted(_INIT_PINS)
+
+
+@pytest.mark.parametrize("flags", _ALL_FLAGS, ids=str)
+def test_init_model_bytes_are_pinned(flags):
+    params = init_model(ModelConfig.toy(), AblationFlags(*flags), seed=0)
+    tensors, elements, digest, _, _ = _INIT_PINS[flags]
+    assert (len(params), sum(v.size for v in params.values())) == (tensors, elements)
+    assert group_sha256(params) == digest
+
+
+@pytest.mark.parametrize("flags", _ALL_FLAGS, ids=str)
+def test_paper_spec_counts(flags):
+    spec = param_spec(ModelConfig.paper(), AblationFlags(*flags))
+    assert (len(spec), sum(math.prod(shape) for _, shape, _ in spec)) == _INIT_PINS[flags][3:]
+
+
+@pytest.mark.parametrize("flags", _ALL_FLAGS, ids=str)
+def test_init_model_follows_param_spec(flags):
+    ablation = AblationFlags(*flags)
+    params = init_model(ModelConfig.toy(), ablation, seed=0)
+    assert [(n, v.shape) for n, v in params.items()] == \
+        [(n, shape) for n, shape, _ in param_spec(ModelConfig.toy(), ablation)]
 
 
 def test_sum_fusion_differs_from_dfm(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from lgcn import fsa, ops, vit
 from lgcn.config import ModelConfig
-from lgcn.params import normal_init
+from lgcn.params import draw
 
 
 def toy_cfg():
@@ -14,7 +14,7 @@ def toy_cfg():
 
 def test_patch_embed_toy_token_count(rng):
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     image = rng.random((64, 64, 3))
     tokens, _ = vit.patch_embed_fwd(image, params, cfg)
     assert tokens.shape == (65, 64)  # 8^2 patches + class token
@@ -24,20 +24,14 @@ def test_patch_embed_paper_shape(rng):
     """Full-size dims: 224x224x3 -> 257x768 on a 16x16 patch grid."""
     cfg = ModelConfig.paper()
     assert cfg.grid == 16
-    patch_in = cfg.patch_size * cfg.patch_size * 3
-    params = {
-        "vit.patch.proj_w": normal_init(rng, (patch_in, cfg.embed_dim)),
-        "vit.patch.proj_b": np.zeros(cfg.embed_dim),
-        "vit.patch.pos": normal_init(rng, (cfg.grid ** 2, cfg.embed_dim)),
-        "vit.patch.cls": normal_init(rng, (cfg.embed_dim,)),
-    }
+    params = draw([e for e in vit.vit_spec(cfg) if e[0].startswith("vit.patch.")], rng)
     tokens, _ = vit.patch_embed_fwd(rng.random((224, 224, 3)), params, cfg)
     assert tokens.shape == (257, 768)
 
 
 def test_patch_embed_zero_image_gives_positional_embeddings(rng):
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     params["vit.patch.proj_w"] = np.zeros_like(params["vit.patch.proj_w"])
     tokens, _ = vit.patch_embed_fwd(np.zeros((64, 64, 3)), params, cfg)
     np.testing.assert_array_equal(tokens[1:], params["vit.patch.pos"])
@@ -46,7 +40,7 @@ def test_patch_embed_zero_image_gives_positional_embeddings(rng):
 
 def test_patch_embed_size_mismatch(rng):
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     with pytest.raises(ops.ShapeError):
         vit.patch_embed_fwd(rng.random((32, 32, 3)), params, cfg)
 
@@ -54,7 +48,7 @@ def test_patch_embed_size_mismatch(rng):
 def test_patch_flatten_reshape_roundtrip(rng):
     """Dropping the class token and reshaping is the exact flatten inverse."""
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     image = rng.random((1, 64, 64, 3))
     fmap, _ = vit.vit_forward(image, params, cfg)
     g, d = cfg.grid, cfg.embed_dim
@@ -97,7 +91,7 @@ def test_attention_three_term_softmax_oracle(rng):
 
 def test_attention_rows_sum_to_one_in_blocks(rng):
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     x = rng.normal(size=(2, 65, 64))
     q, _ = ops.linear_fwd(x, params["vit.block0.attn.wq"], params["vit.block0.attn.bq"])
     k, _ = ops.linear_fwd(x, params["vit.block0.attn.wk"], params["vit.block0.attn.bk"])
@@ -114,7 +108,7 @@ def test_attention_rows_sum_to_one_in_blocks(rng):
 
 def test_vit_forward_toy_shape(rng):
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     fmap, _ = vit.vit_forward(rng.random((2, 64, 64, 3)), params, cfg)
     assert fmap.shape == (2, 8, 8, 64)
 
@@ -123,9 +117,9 @@ def test_zero_adapter_projection_is_bit_identical(rng):
     """Freshly initialized adapters (zero fusion projection) change nothing."""
     cfg = toy_cfg()
     gen = np.random.default_rng(7)
-    params = vit.init_vit_params(cfg, gen)
+    params = draw(vit.vit_spec(cfg), gen)
     for i in range(cfg.depth):
-        params.update(fsa.init_fsa_params(cfg, gen, f"fsa.block{i}"))
+        params.update(draw(fsa.fsa_spec(cfg, f"fsa.block{i}"), gen))
     image = rng.random((1, 64, 64, 3))
     with_adapters, _ = vit.vit_forward(image, params, cfg)
     vit_params = {n: v for n, v in params.items() if not n.startswith("fsa.")}
@@ -136,7 +130,7 @@ def test_zero_adapter_projection_is_bit_identical(rng):
 def test_permutation_equivariance_with_matching_positions(rng):
     """Permute patches and positional rows together: output permutes along."""
     cfg = toy_cfg()
-    params = vit.init_vit_params(cfg, rng)
+    params = draw(vit.vit_spec(cfg), rng)
     g, p, d = cfg.grid, cfg.patch_size, cfg.embed_dim
     image = rng.random((64, 64, 3))
     perm = rng.permutation(g * g)
