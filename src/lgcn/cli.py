@@ -237,17 +237,18 @@ def cmd_eval(args) -> int:
     report["descriptor_sha256"] = digest
     report["fusion"] = fusion_of(params)
     report["adapters_enabled"] = any(n.startswith("fsa.") for n in params)
-    with atomic_write(args.out, encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # The report goes last, so a failed write leaves no report to pass for success.
+    if args.dump_descriptors:
+        save_descriptors(args.dump_descriptors, desc_all)
     if args.per_query:
         with atomic_write(args.per_query, encoding="utf-8", newline="") as fh:
             fh.write("query_id,rank,db_id,similarity\n")
             for qi, q in enumerate(q_records):
                 for rank, did in enumerate(topk[qi], start=1):
                     fh.write(f"{q.id},{rank},{did},{float(sims[qi][rank - 1])!r}\n")
-    if args.dump_descriptors:
-        save_descriptors(args.dump_descriptors, desc_all)
+    with atomic_write(args.out, encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     for n in ns:
         print(f"recall@{n}: {result.recalls[n]:.4f}")
     if args.oracle_check:

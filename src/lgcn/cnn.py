@@ -36,17 +36,19 @@ def cnn_spec(cfg) -> list:
     ]
 
 
-def cnn_forward(images, params, cfg):
-    """images (B, S, S, 3) -> local map (B, G_res, G_res, C_res)."""
+def cnn_forward(images, params, cfg, keep=True):
+    """images (B, S, S, 3) -> local map (B, G_res, G_res, C_res); keep=False returns no cache."""
     x = images
     caches = []
     for i in (1, 2, 3):
         y, c_conv = ops.conv2d_fwd(x, params[f"cnn.stage{i}.w"], params[f"cnn.stage{i}.b"],
                                    stride=2, padding=1)
         x, c_relu = ops.relu_fwd(y)
-        caches.append((c_conv, c_relu))
+        if keep:
+            caches.append((c_conv, c_relu))
+        del y, c_conv, c_relu  # freed before the next stage runs unless kept
     pooled, c_pool = ops.avg_pool2d_fwd(x, cfg.pool_factor)
-    return pooled, (caches, c_pool)
+    return pooled, ((caches, c_pool) if keep else None)
 
 
 def cnn_backward(dy, cache, grads, image_grad=True):

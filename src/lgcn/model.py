@@ -64,8 +64,12 @@ def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
 
 @dataclass
 class ModelTape:
-    """Forward caches plus the intermediate maps the diagnostics read."""
+    """Forward caches plus the intermediate maps the diagnostics read.
 
+    trainable is the set the caches were kept for (None: every cache).
+    """
+
+    trainable: set | None
     c_vit: object
     c_cnn: object
     c_align: object
@@ -78,21 +82,25 @@ class ModelTape:
     fused: np.ndarray
 
 
-def model_forward(images, params, cfg: ModelConfig, cross: bool = False):
+def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainable=None):
     """images (B, S, S, 3) -> unit descriptors (B, D_out) plus the tape.
 
     The variant is the parameter groups present (fusion_of). cross=True turns
     on cross-image attention in the head (training mode); inference keeps
-    images independent.
+    images independent. The tape keeps only the caches model_backward reads
+    under the same trainable: None keeps all of them (the gradcheck path), a
+    set none of the frozen ViT prefix's (vit.first_trained_block), and an
+    empty set none at all. fvit, fres, omega and fused are always kept.
     """
     fusion = fusion_of(params)
-    fvit, c_vit = vit.vit_forward(images, params, cfg)
+    keep = trainable is None or bool(trainable)
+    fvit, c_vit = vit.vit_forward(images, params, cfg, trainable)
     c_cnn = c_align = c_dfm = None
     fres = omega = None
     if fusion == "vit-only":
         fused = fvit
     else:
-        fres_raw, c_cnn = cnn.cnn_forward(images, params, cfg)
+        fres_raw, c_cnn = cnn.cnn_forward(images, params, cfg, keep)
         fres, c_align = cnn.align_upsample(fres_raw, params, cfg)
         if fusion == "dfm":
             fused, c_dfm = dfm.dfm_forward(fvit, fres, params, cfg.dfm_mode)
@@ -102,7 +110,10 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False):
         else:  # sum: the DFM group dropped at eval time
             fused = fvit + fres
     desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
-    tape = ModelTape(c_vit, c_cnn, c_align, c_dfm, c_head, fusion, fvit, fres, omega, fused)
+    if not keep:
+        c_align = c_dfm = c_head = None
+    tape = ModelTape(trainable, c_vit, c_cnn, c_align, c_dfm, c_head, fusion, fvit, fres, omega,
+                     fused)
     return desc, tape
 
 
@@ -113,8 +124,11 @@ def model_backward(ddesc, tape: ModelTape, params, grads, trainable=None):
     image gradients (the gradcheck path). Given the set of trainable names,
     frozen vit.* weights get no gradient and neither stream computes an image
     gradient (vit.vit_backward, cnn.cnn_backward); the gradients it does
-    compute are bitwise those of the full path.
+    compute are bitwise those of the full path. The tape must come from
+    model_forward with trainable=None or with this same set.
     """
+    if tape.trainable is not None and tape.trainable != trainable:
+        raise ValueError("model_backward: the tape was kept for another trainable set")
     dfused = head.head_backward(ddesc, tape.c_head, grads)
     if tape.fusion == "vit-only":
         dfvit, dfres = dfused, None
@@ -138,7 +152,7 @@ def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64,
     chunks = [images[i:i + batch_size] for i in range(0, n, batch_size)]
 
     def run(chunk):
-        desc, _ = model_forward(chunk, params, cfg)
+        desc, _ = model_forward(chunk, params, cfg, trainable=set())
         return desc
 
     if threads > 1 and len(chunks) > 1:
@@ -151,7 +165,7 @@ def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64,
 
 def stream_maps(image, params, cfg: ModelConfig) -> dict:
     """Named per-stream maps for one image, for heatmap export."""
-    _, tape = model_forward(image[None], params, cfg)
+    _, tape = model_forward(image[None], params, cfg, trainable=set())
     maps = {"fvit": tape.fvit[0], "fused": tape.fused[0]}
     if tape.fres is not None:
         maps["fres"] = tape.fres[0]

@@ -224,6 +224,7 @@ def conv2d_fwd(x, w, b=None, stride=1, padding=0):
     for i in range(kh):
         for j in range(kw):
             cols[:, :, :, i, j, :] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :]
+    del xp  # the padded copy goes before the matmul allocates y
     wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
     y = (cols.reshape(-1, kh * kw * cin) @ wmat).reshape(B, oh, ow, cout)
     if b is not None:

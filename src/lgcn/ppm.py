@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write an (H, W, 3) float image in [0, 1] as an 8-bit binary PPM."""
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"write_ppm: expected (H, W, 3), got {image.shape}")
     data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 

@@ -180,7 +180,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
 
     recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
                                    threads)
-    report.rows.append({"epoch": 0, "loss": None,
+    report.rows.append({"epoch": 0, "loss": None, "triplets": None, "skipped": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
         log(report.rows[-1])
@@ -201,7 +201,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             p_idx = [idx_of[t.positive] for t in chunk]
             n_idx = [idx_of[nid] for t in chunk for nid in t.negatives]
             batch_imgs = images[a_idx + p_idx + n_idx]
-            desc_all, tape = model_mod.model_forward(batch_imgs, params, cfg, cross=True)
+            desc_all, tape = model_mod.model_forward(batch_imgs, params, cfg, cross=True,
+                                                     trainable=opt.trainable)
             ka = np.repeat(np.arange(nb), [len(t.negatives) for t in chunk])
             a_d = desc_all[ka]
             p_d = desc_all[nb + ka]
@@ -223,7 +224,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
         recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
                                        threads)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
-        report.rows.append({"epoch": epoch, "loss": epoch_loss,
+        report.rows.append({"epoch": epoch, "loss": epoch_loss, "triplets": len(triplets),
+                            "skipped": mined.skipped,
                             **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
         report.timings.append({"epoch": epoch, "wall_time_s": time.monotonic() - t0})
         if log:
@@ -251,7 +253,7 @@ def _dump_nan_diag(out_dir, epoch, step, params):
             for name, v in params.items()
         },
     }
-    with open(os.path.join(out_dir, "nan_dump.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "nan_dump.json"), encoding="utf-8") as fh:
         json.dump(diag, fh, indent=2, sort_keys=True)
 
 

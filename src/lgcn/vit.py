@@ -105,8 +105,8 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, n, h * dk)
 
 
-def mhsa_fwd(x, params, prefix, n_heads):
-    """Multi-head self-attention with an output projection."""
+def mhsa_fwd(x, params, prefix, n_heads, keep=True):
+    """Multi-head self-attention with an output projection; keep=False returns no cache."""
     q, cq = ops.linear_fwd(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k, ck = ops.linear_fwd(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v, cv = ops.linear_fwd(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
@@ -114,7 +114,7 @@ def mhsa_fwd(x, params, prefix, n_heads):
     oh, c_att = ops.attention_fwd(qh, kh, vh)
     merged = _merge_heads(oh)
     out, co = ops.linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return out, (cq, ck, cv, c_att, co, n_heads, prefix)
+    return out, ((cq, ck, cv, c_att, co, n_heads, prefix) if keep else None)
 
 
 def mhsa_bwd(dy, cache, grads, trainable=None):
@@ -129,11 +129,11 @@ def mhsa_bwd(dy, cache, grads, trainable=None):
     return dx
 
 
-def ffn_fwd(x, params, prefix):
+def ffn_fwd(x, params, prefix, keep=True):
     h1, c1 = ops.linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     a1, ca = ops.gelu_fwd(h1)
     y, c2 = ops.linear_fwd(a1, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    return y, (c1, ca, c2, prefix)
+    return y, ((c1, ca, c2, prefix) if keep else None)
 
 
 def ffn_bwd(dy, cache, grads, trainable=None):
@@ -143,18 +143,28 @@ def ffn_bwd(dy, cache, grads, trainable=None):
     return _linear_bwd(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", trainable)
 
 
-def vit_block_fwd(x, params, prefix, cfg, adapter_prefix=None):
+def vit_block_fwd(x, params, prefix, cfg, adapter_prefix=None, keep="all"):
+    """One block; keep says which caches its backward will read.
+
+    "all": every op's; "adapter": only the adapter's (a block whose adapter
+    alone trains, with nothing trainable below it); None: no cache at all.
+    """
+    full = keep == "all"
     h1, c_ln1 = ops.layernorm_fwd(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    att, c_att = mhsa_fwd(h1, params, f"{prefix}.attn", cfg.num_heads)
+    att, c_att = mhsa_fwd(h1, params, f"{prefix}.attn", cfg.num_heads, full)
     x2 = x + att
     h2, c_ln2 = ops.layernorm_fwd(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    ff, c_ffn = ffn_fwd(h2, params, f"{prefix}.ffn")
+    ff, c_ffn = ffn_fwd(h2, params, f"{prefix}.ffn", full)
     if adapter_prefix is not None:
         ad, c_fsa = fsa.fsa_forward(h2, params, adapter_prefix, cfg)
         y = x2 + ff + ad
     else:
         c_fsa = None
         y = x2 + ff
+    if keep is None:
+        return y, None
+    if not full:
+        c_ln1 = c_ln2 = None
     return y, (c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix)
 
 
@@ -178,16 +188,41 @@ def vit_block_bwd(dy, cache, params, grads, trainable=None, input_grad=True):
     return dx if input_grad else None
 
 
-def vit_forward(images, params, cfg):
+def first_trained_block(trainable, depth) -> int:
+    """The lowest block a backward limited to trainable (None: every name) runs.
+
+    That is the lowest block with a trainable vit.* or fsa.* name, block 0
+    when vit.patch.* trains, and depth when no ViT name trains. The blocks
+    below it need no cache.
+    """
+    if wants_group(trainable, "vit.patch."):
+        return 0
+    return next((i for i in range(depth)
+                 if wants_group(trainable, f"vit.block{i}.", f"fsa.block{i}.")), depth)
+
+
+def vit_forward(images, params, cfg, trainable=None):
     """Run the transformer stream; returns the patch-token map (B, G, G, D).
 
-    Block i runs its adapter when the fsa.block{i} group is in params.
+    Block i runs its adapter when the fsa.block{i} group is in params. The
+    cache holds what vit_backward reads under trainable: everything for None,
+    nothing for an empty set.
     """
+    cut = first_trained_block(trainable, cfg.depth)
+    patch = wants_group(trainable, "vit.patch.")
     tokens, c_embed = patch_embed_fwd(images, params, cfg)
+    if not patch:
+        c_embed = None
     block_caches = []
     for i in range(cfg.depth):
         adapter = f"fsa.block{i}" if f"fsa.block{i}.scale" in params else None
-        tokens, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, adapter)
+        if i < cut:
+            keep = None
+        elif i > cut or patch or wants_group(trainable, f"vit.block{i}."):
+            keep = "all"
+        else:
+            keep = "adapter"
+        tokens, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, adapter, keep)
         block_caches.append(c_blk)
     B = tokens.shape[0]
     g, d = cfg.grid, cfg.embed_dim
@@ -200,19 +235,16 @@ def vit_backward(dfmap, cache, params, grads, trainable=None):
 
     trainable=None computes every gradient, the images' included. Given a set
     of names, a vit.* weight outside it gets no gradient, the pass stops at
-    the lowest block with a trainable vit.* or fsa.* name, and an empty array
-    stands in for the image gradient. The adapters of the blocks it runs
-    always get gradients.
+    first_trained_block, and an empty array stands in for the image gradient.
+    The adapters of the blocks it runs always get gradients.
     """
     c_embed, block_caches, (B, g, d) = cache
     dtokens = np.zeros((B, 1 + g * g, d), dtype=dfmap.dtype)
     dtokens[:, 1:, :] = dfmap.reshape(B, g * g, d)
-    below, needs_input = ("vit.patch.",), []  # a block's input gradient feeds what trains below it
-    for i in range(len(block_caches)):
-        needs_input.append(wants_group(trainable, *below))
-        below += (f"vit.block{i}.", f"fsa.block{i}.")
-    for c_blk, input_grad in zip(reversed(block_caches), reversed(needs_input)):
-        dtokens = vit_block_bwd(dtokens, c_blk, params, grads, trainable, input_grad)
-        if dtokens is None:
-            return np.empty(0)
-    return patch_embed_bwd(dtokens, c_embed, grads, trainable)
+    cut = first_trained_block(trainable, len(block_caches))
+    patch = wants_group(trainable, "vit.patch.")
+    for i in reversed(range(cut, len(block_caches))):
+        # a block's input gradient feeds what trains below it
+        dtokens = vit_block_bwd(dtokens, block_caches[i], params, grads, trainable,
+                                input_grad=i > cut or patch)
+    return patch_embed_bwd(dtokens, c_embed, grads, trainable) if patch else np.empty(0)

@@ -185,3 +185,46 @@ def test_failed_write_keeps_previous_file(tmp_path, rng, how):
                 raise RuntimeError("killed midway")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class _DiesOnSecondWrite:
+    """A file whose second write raises, as if the run were killed midway."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise RuntimeError("killed midway")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("writer", ["write_ppm", "nan_dump"])
+def test_failed_write_keeps_previous_file_for_ppm_and_nan_dump(tmp_path, rng, monkeypatch,
+                                                               writer):
+    import builtins
+
+    from lgcn import ppm, trainer
+
+    if writer == "write_ppm":
+        path = tmp_path / "image.ppm"
+        write = lambda value: ppm.write_ppm(path, np.full((4, 5, 3), value))  # noqa: E731
+    else:
+        path = tmp_path / "nan_dump.json"
+        write = lambda value: trainer._dump_nan_diag(tmp_path, 1, 0,  # noqa: E731
+                                                     {"a": np.full(3, value)})
+    write(0.25)
+    before = path.read_bytes()
+    monkeypatch.setattr(ck, "open", lambda *a, **kw: _DiesOnSecondWrite(builtins.open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(RuntimeError, match="killed midway"):
+        write(0.75)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

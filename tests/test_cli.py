@@ -88,6 +88,8 @@ def test_train_artifacts(world, trained):
     rows = [json.loads(l) for l in (trained / "report.jsonl").read_text().splitlines()]
     assert rows[0]["epoch"] == 0 and rows[0]["loss"] is None
     assert rows[1]["epoch"] == 1 and rows[1]["loss"] >= 0
+    assert rows[0]["triplets"] is None and rows[0]["skipped"] is None
+    assert rows[1]["triplets"] > 0 and rows[1]["skipped"] == 0
     params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
     assert header["model"]["image_size"] == 32
 
@@ -147,6 +149,18 @@ def test_eval_report_and_oracle(tmp_path, world, trained):
     vecs = load_descriptors(tmp_path / "desc.bin")
     assert vecs.shape[0] == 24  # 6 places x 4 views
     np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("flag", ["--dump-descriptors", "--per-query"])
+def test_eval_failed_side_file_leaves_no_report(tmp_path, world, trained, flag):
+    blocked = tmp_path / "a_directory"
+    blocked.mkdir()
+    report_path = tmp_path / "r.json"
+    code = main(["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
+                 "--data", str(world), "--out", str(report_path), flag, str(blocked)])
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+    assert list(blocked.iterdir()) == []
 
 
 def test_eval_ablation_flag_changes_descriptors(tmp_path, world, trained):

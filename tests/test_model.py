@@ -47,7 +47,8 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
     for name in params:  # zero-initialised projections would hide most paths
         if name.endswith((".fuse_w", "head.attn.wo")):
             params[name] = rng.normal(size=params[name].shape) * 0.1
-    desc, tape = model_forward(rng.random((5, 32, 32, 3)), params, cfg, cross=True)
+    images = rng.random((5, 32, 32, 3))
+    desc, tape = model_forward(images, params, cfg, cross=True)
     ddesc = rng.normal(size=desc.shape)
     full: dict = {}
     model_backward(ddesc, tape, params, full)
@@ -59,6 +60,92 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
         assert not any(n.startswith("vit.") for n in grads)
     for name in trainable:
         assert grads[name].tobytes() == full[name].tobytes(), name
+    # The tape kept for the set serves the same backward, bit for bit.
+    limited_desc, limited_tape = model_forward(images, params, cfg, cross=True,
+                                               trainable=trainable)
+    assert limited_desc.tobytes() == desc.tobytes()
+    c_embed, block_caches, _ = limited_tape.c_vit
+    if extra == ():  # frozen backbone: no patch cache, block 0 keeps its adapter's alone
+        assert c_embed is None
+        assert block_caches[0][:4] == (None,) * 4 and block_caches[0][4] is not None
+    limited: dict = {}
+    model_backward(ddesc, limited_tape, params, limited, trainable)
+    assert set(limited) == trainable
+    for name in trainable:
+        assert limited[name].tobytes() == full[name].tobytes(), name
+
+
+def _variant(fusion, rng):
+    """tiny_cfg parameters of one fusion, with the zero-initialised projections drawn."""
+    flags = {"dfm": AblationFlags(), "sum": AblationFlags(),
+             "concat": AblationFlags(disable_dfm=True),
+             "vit-only": AblationFlags(disable_cnn_stream=True)}[fusion]
+    params = init_model(tiny_cfg(), flags, seed=4)
+    if fusion == "sum":
+        params = {n: v for n, v in params.items() if not n.startswith("dfm.")}
+    for name in params:
+        if name.endswith((".fuse_w", "head.attn.wo")):
+            params[name] = rng.normal(size=params[name].shape) * 0.1
+    assert fusion_of(params) == fusion
+    return params
+
+
+FUSIONS = ["vit-only", "concat", "sum", "dfm"]
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+@pytest.mark.parametrize("batch", [1, 64])
+def test_descriptors_without_tape_match_full_tape_bitwise(rng, fusion, batch):
+    cfg = tiny_cfg()
+    params = _variant(fusion, rng)
+    images = rng.random((batch, 32, 32, 3))
+    full, _ = model_forward(images, params, cfg)
+    bare, tape = model_forward(images, params, cfg, trainable=set())
+    assert compute_descriptors(images, params, cfg, batch_size=64).tobytes() == full.tobytes()
+    assert bare.tobytes() == full.tobytes()
+    c_embed, block_caches, _ = tape.c_vit
+    assert c_embed is None and block_caches == [None] * cfg.depth
+    assert (tape.c_cnn, tape.c_align, tape.c_dfm, tape.c_head) == (None,) * 4
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_stream_maps_match_full_tape_bitwise(rng, fusion):
+    cfg = tiny_cfg()
+    params = _variant(fusion, rng)
+    image = rng.random((32, 32, 3))
+    _, tape = model_forward(image[None], params, cfg)
+    maps = stream_maps(image, params, cfg)
+    expected = {"fvit": tape.fvit, "fres": tape.fres, "omega": tape.omega, "fused": tape.fused}
+    assert set(maps) == {name for name, m in expected.items() if m is not None}
+    for name, m in maps.items():
+        assert m.tobytes() == expected[name][0].tobytes(), name
+
+
+def test_tape_serves_only_the_backward_it_was_kept_for(rng):
+    cfg = tiny_cfg()
+    params = init_model(cfg, AblationFlags(), seed=0)
+    trainable = set(trainable_names(params, freeze_backbone=True))
+    desc, tape = model_forward(rng.random((2, 32, 32, 3)), params, cfg, trainable=trainable)
+    for other in (None, set(), trainable | {"vit.patch.pos"}):
+        with pytest.raises(ValueError, match="another trainable set"):
+            model_backward(np.ones_like(desc), tape, params, {}, other)
+
+
+def test_encode_keeps_no_tape():
+    # 40 toy-preset images in one chunk: the full tape peaked at 216 MB here,
+    # the largest op's transients alone take about 36 MB.
+    import tracemalloc
+
+    cfg = ModelConfig.toy()
+    params = init_model(cfg, AblationFlags(), seed=0)
+    images = np.random.default_rng(0).random((40, cfg.image_size, cfg.image_size, 3))
+    tracemalloc.start()
+    try:
+        compute_descriptors(images, params, cfg, batch_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_param_groups_match_ablation():

@@ -305,3 +305,25 @@ def test_report_rows_structure():
         for n in (1, 5, 10):
             assert 0.0 <= row[f"recall@{n}"] <= 1.0
     assert set(report.checksums) == {"backbone_sha256", "adapters_sha256", "all_sha256"}
+
+
+def test_report_rows_record_each_epochs_mining(monkeypatch):
+    cfg = tiny_cfg()
+    ablation = AblationFlags()
+    records, images = make_world(11, 4, 4)
+    keep = list(range(1, len(records)))  # place 0 keeps one database view: its anchor is skipped
+    records, images = [records[i] for i in keep], images[keep]
+    mined = []
+
+    def record(*args):
+        mined.append(real(*args))
+        return mined[-1]
+
+    real = trainer.mine_triplets
+    monkeypatch.setattr(trainer, "mine_triplets", record)
+    params = init_model(cfg, ablation, seed=5)
+    tc = TrainConfig(epochs=2, batch_size=4, seed=5)
+    report = trainer.train(params, cfg, ablation, records, images, tc)
+    assert [(row["triplets"], row["skipped"]) for row in report.rows] == \
+        [(None, None)] + [(len(m.triplets), m.skipped) for m in mined]
+    assert len(mined) == 2 and all(m.skipped == 1 and m.triplets for m in mined)
