@@ -48,9 +48,9 @@ def spatial_branch_bwd(dy, cache):
 
 
 def frequency_branch_fwd(x, gains):
-    """Scale the amplitude spectrum by positive gains, phase untouched."""
-    if np.any(gains <= 0):
-        raise ValueError("frequency_branch: gains must be strictly positive")
+    """Scale the amplitude spectrum by finite positive gains, phase untouched."""
+    if not np.all((gains > 0) & (gains < np.inf)):  # NaN fails both
+        raise ValueError("frequency_branch: gains must be finite and strictly positive")
     grid, c_dft = spectral.dft2d_fwd(x)
     modded, c_mod = spectral.amplitude_modulate_fwd(grid, gains)
     y, c_idft = spectral.idft2d_fwd(modded)

@@ -80,10 +80,17 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu_fwd(x):
     """tanh-approximation GELU."""
-    # x * x * x, not x ** 3: float64 pow of signed inputs is ~40x slower
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
+    # inner = C * (x + 0.044715 * (x * x * x)), then y = 0.5 * x * (1 + t),
+    # op for op in place. x * x * x, not x ** 3: float64 pow of signed inputs
+    # is ~40x slower.
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
     return y, (x, t)
 
 
@@ -118,9 +125,9 @@ def softplus_bwd(dy, x):
 
 
 def softmax_fwd(x, axis=-1):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x - x.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     return y, (y, axis)
 
 
@@ -133,11 +140,12 @@ def softmax_bwd(dy, cache):
 def layernorm_fwd(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = gamma * xhat + beta
+    xhat = x - mu
+    y = np.square(xhat)  # what xhat ** 2 runs; y then holds gamma * xhat + beta
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=y)
+    y += beta
     return y, (xhat, inv, gamma)
 
 
@@ -201,6 +209,16 @@ def attention_bwd(dy, cache):
 # convolutions (tap-loop form: one matmul per kernel tap, no scatter)
 # ---------------------------------------------------------------------------
 
+def _pad_hw(xb, p):
+    """Copy of a (B, H, W, C) map with p zeros around each spatial side."""
+    B, H, W, C = xb.shape
+    xp = np.empty((B, H + 2 * p, W + 2 * p, C), dtype=xb.dtype)
+    xp[:, :p] = xp[:, p + H:] = 0  # only the border is zeroed; the rest is copied over
+    xp[:, :, :p] = xp[:, :, p + W:] = 0
+    xp[:, p:p + H, p:p + W] = xb
+    return xp
+
+
 def conv2d_fwd(x, w, b=None, stride=1, padding=0):
     """2-d convolution (cross-correlation) on channels-last maps.
 
@@ -217,7 +235,7 @@ def conv2d_fwd(x, w, b=None, stride=1, padding=0):
            f"conv2d: padded height {H + 2 * padding} smaller than kernel {kh}")
     _check(W + 2 * padding >= kw,
            f"conv2d: padded width {W + 2 * padding} smaller than kernel {kw}")
-    xp = np.pad(xb, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    xp = _pad_hw(xb, padding)
     oh = (H + 2 * padding - kh) // stride + 1
     ow = (W + 2 * padding - kw) // stride + 1
     cols = np.empty((B, oh, ow, kh, kw, cin), dtype=xb.dtype)
@@ -267,7 +285,7 @@ def depthwise_conv2d_fwd(x, k, padding=1):
     _check(xb.shape[3] == C,
            f"depthwise_conv2d: input channel axis has {xb.shape[3]}, kernel has {C} slices")
     B, H, W, _ = xb.shape
-    xp = np.pad(xb, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    xp = _pad_hw(xb, padding)
     oh = H + 2 * padding - kh + 1
     ow = W + 2 * padding - kw + 1
     y = np.zeros((B, oh, ow, C), dtype=xb.dtype)

@@ -1,7 +1,10 @@
 """Per-channel 2-d discrete Fourier transform and amplitude-spectrum modulation.
 
 The DFT is computed in its direct matrix form (exact, no FFT); grids here
-never exceed a few hundred bins so asymptotics are irrelevant.
+never exceed a few hundred bins so asymptotics are irrelevant. Inputs are
+real, so the transform is one real matmul over the flattened spatial axis:
+M = [Re F; Im F] with F = kron(F_H, F_W), which is 2N x N for N = H * W.
+F is symmetric, so M's transpose maps a stacked spectrum back to space.
 """
 
 from __future__ import annotations
@@ -33,56 +36,65 @@ class ComplexGrid:
 
 
 @lru_cache(maxsize=64)
-def _dft_matrix(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+def _dft_matrix(h: int, w: int) -> np.ndarray:
+    """(2N, N) real form [Re F; Im F] of the 2-d DFT on an h x w grid."""
+    def dft(n):
+        idx = np.arange(n)
+        return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+
+    f = np.kron(dft(h), dft(w))  # bin u * w + v, pixel y * w + x
+    m = np.concatenate([f.real, f.imag])
+    m.flags.writeable = False  # shared by every call on this grid
+    return m
 
 
-def _transform(arr, fh, fw):
-    """fh @ arr @ fw over the spatial axes of (B, H, W, C), channel by channel."""
-    t = arr.transpose(0, 3, 1, 2)  # (B, C, H, W) so matmul broadcasts over B, C
-    out = (fh @ t) @ fw
-    return out.transpose(0, 2, 3, 1)
+def _stack(grid: ComplexGrid):
+    """(B, 2N, C) stack of a grid's real and imaginary parts."""
+    reb, had_batch = _batched(grid.re)
+    B, H, W, C = reb.shape
+    parts = (reb, _batched(grid.im)[0])
+    return np.concatenate([p.reshape(B, H * W, C) for p in parts], axis=1), reb.shape, had_batch
+
+
+def _unstack(stacked, shape, had_batch) -> ComplexGrid:
+    n = shape[1] * shape[2]
+    return ComplexGrid(_debatch(stacked[:, :n].reshape(shape), had_batch),
+                       _debatch(stacked[:, n:].reshape(shape), had_batch))
 
 
 def dft2d_fwd(x):
     """Per-channel 2-d DFT of a (B, H, W, C) or (H, W, C) map."""
     xb, had_batch = _batched(x)
     B, H, W, C = xb.shape
-    spec = _transform(xb.astype(np.complex128), _dft_matrix(H), _dft_matrix(W))
-    grid = ComplexGrid(_debatch(np.ascontiguousarray(spec.real), had_batch),
-                       _debatch(np.ascontiguousarray(spec.imag), had_batch))
-    return grid, (xb.shape, had_batch)
+    spec = _dft_matrix(H, W) @ xb.reshape(B, H * W, C)
+    return _unstack(spec, xb.shape, had_batch), (xb.shape, had_batch)
 
 
 def dft2d_bwd(dgrid: ComplexGrid, cache):
     xshape, had_batch = cache
-    B, H, W, C = xshape
     # Adjoint of the real->complex linear map: sum each bin's cos/sin weights.
-    dspec = _batched(dgrid.re)[0] + 1j * _batched(dgrid.im)[0]
-    dx = _transform(dspec, np.conj(_dft_matrix(H)), np.conj(_dft_matrix(W))).real
-    return _debatch(np.ascontiguousarray(dx), had_batch)
+    dspec, _, _ = _stack(dgrid)
+    dx = _dft_matrix(*xshape[1:3]).T @ dspec
+    return _debatch(dx.reshape(xshape), had_batch)
 
 
 def idft2d_fwd(grid: ComplexGrid):
     """Real part of the per-channel inverse 2-d DFT."""
     _check(grid.re.shape == grid.im.shape, "idft2d: re/im shapes differ")
-    reb, had_batch = _batched(grid.re)
-    imb, _ = _batched(grid.im)
-    B, H, W, C = reb.shape
-    x = _transform(reb + 1j * imb, np.conj(_dft_matrix(H)), np.conj(_dft_matrix(W))) / (H * W)
-    return _debatch(np.ascontiguousarray(x.real), had_batch), (reb.shape, had_batch)
+    spec, shape, had_batch = _stack(grid)
+    B, H, W, C = shape
+    x = _dft_matrix(H, W).T @ spec
+    x /= H * W
+    return _debatch(x.reshape(shape), had_batch), (shape, had_batch)
 
 
 def idft2d_bwd(dy, cache):
     shape, had_batch = cache
     B, H, W, C = shape
-    dyb, _ = _batched(dy)
-    dspec = _transform(dyb.astype(np.complex128), _dft_matrix(H), _dft_matrix(W)) / (H * W)
-    dre = _debatch(np.ascontiguousarray(dspec.real), had_batch)
     # d(Re idft)/d(im) picks up the -sin weights, i.e. +Im of the forward DFT.
-    dim = _debatch(np.ascontiguousarray(dspec.imag), had_batch)
-    return ComplexGrid(dre, dim)
+    dspec = _dft_matrix(H, W) @ _batched(dy)[0].reshape(B, H * W, C)
+    dspec /= H * W
+    return _unstack(dspec, shape, had_batch)
 
 
 def amplitude_modulate_fwd(grid: ComplexGrid, gains):

@@ -324,6 +324,20 @@ def test_tensors_not_matching_header_are_runtime_errors(tmp_path, world, trained
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_non_finite_adapter_gains_are_runtime_error(tmp_path, world, trained, capsys):
+    # exp(1000) overflows to +inf; with a non-zero fuse_w that made NaN descriptors
+    from lgcn.checkpoint import save_checkpoint
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    params["fsa.block1.gains_log"] = np.full_like(params["fsa.block1.gains_log"], 1000.0)
+    params["fsa.block1.fuse_w"] = np.full_like(params["fsa.block1.fuse_w"], 0.1)
+    ckpt = tmp_path / "inf-gains.ckpt"
+    save_checkpoint(ckpt, params, header)
+    code, err = _eval_exit(tmp_path, world, ckpt, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "finite and strictly positive" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, trained):
     legacy = _with_header(tmp_path, trained, lambda h: h["ablation"].update(static_fusion=False))
     reports = []

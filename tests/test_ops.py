@@ -167,6 +167,27 @@ def test_depthwise_channel_count_mismatch(rng):
         ops.depthwise_conv2d_fwd(rng.normal(size=(4, 4, 2)), rng.normal(size=(3, 3, 3)))
 
 
+def _np_pad(x, p):
+    return np.pad(x, [(0, 0)] * (x.ndim - 3) + [(p, p), (p, p), (0, 0)])
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 7, 6, 3), (5, 6, 3)], ids=["batched", "unbatched"])
+def test_slice_padding_matches_np_pad_bitwise(rng, shape, stride, padding):
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    y, _ = ops.conv2d_fwd(x, w, b, stride=stride, padding=padding)
+    ref, _ = ops.conv2d_fwd(_np_pad(x, padding), w, b, stride=stride, padding=0)
+    np.testing.assert_array_equal(y, ref)
+    k = rng.normal(size=(3, 3, 3))
+    y, (xp, *_) = ops.depthwise_conv2d_fwd(x, k, padding=padding)
+    ref, _ = ops.depthwise_conv2d_fwd(_np_pad(x, padding), k, padding=0)
+    np.testing.assert_array_equal(y, ref)
+    np.testing.assert_array_equal(xp, _np_pad(x, padding).reshape(xp.shape))
+
+
 # ---------------------------------------------------------------------------
 # bilinear resize
 # ---------------------------------------------------------------------------
@@ -299,6 +320,50 @@ def test_gelu_matches_power_formula_on_signed_inputs(rng):
     dt = (1.0 - np.power(t, 2)) * c * (1.0 + 3 * 0.044715 * np.power(x, 2))
     np.testing.assert_allclose(ops.gelu_bwd(dy, cache), dy * (0.5 * (1.0 + t) + 0.5 * x * dt),
                                rtol=0, atol=1e-14)
+
+
+def gelu_expression(x):
+    """gelu_fwd's output and cached tanh as whole-array expressions."""
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def softmax_expression(x, axis=-1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layernorm_expression(x, gamma, beta, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xhat = xc * (1.0 / np.sqrt((xc ** 2).mean(axis=-1, keepdims=True) + eps))
+    return gamma * xhat + beta, xhat
+
+
+@pytest.mark.parametrize("batch", [1, 48])
+def test_in_place_elementwise_ops_match_expressions_bitwise(rng, batch):
+    """The buffer-reusing forwards run the expressions' ops in the same order."""
+    x = rng.normal(size=(batch, 65, 256)) * 4
+    before = x.copy()
+    y, (_, t) = ops.gelu_fwd(x)
+    ref_y, ref_t = gelu_expression(x)
+    np.testing.assert_array_equal(y, ref_y)
+    np.testing.assert_array_equal(t, ref_t)
+    np.testing.assert_array_equal(x, before)
+
+    s = rng.normal(size=(batch, 4, 65, 65)) * 4
+    before = s.copy()
+    np.testing.assert_array_equal(ops.softmax_fwd(s)[0], softmax_expression(s))
+    np.testing.assert_array_equal(ops.softmax_fwd(s, axis=1)[0], softmax_expression(s, axis=1))
+    np.testing.assert_array_equal(s, before)
+
+    h = rng.normal(size=(batch, 65, 64)) * 3 + 1
+    g, b = rng.normal(size=64) + 1, rng.normal(size=64)
+    before = h.copy()
+    y, (xhat, _, _) = ops.layernorm_fwd(h, g, b)
+    ref_y, ref_xhat = layernorm_expression(h, g, b)
+    np.testing.assert_array_equal(y, ref_y)
+    np.testing.assert_array_equal(xhat, ref_xhat)
+    np.testing.assert_array_equal(h, before)
 
 
 def test_gelu_fixed_points():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgcn import spectral
-from lgcn.fsa import frequency_branch_fwd
+from lgcn.fsa import frequency_branch_bwd, frequency_branch_fwd
 
 
 def dft2d_loop_ref(x):
@@ -124,3 +124,47 @@ def test_frequency_branch_rejects_nonpositive_gains(rng):
     x = rng.normal(size=(4, 4, 1))
     with pytest.raises(ValueError):
         frequency_branch_fwd(x, np.zeros((4, 4, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_frequency_branch_rejects_non_finite_gains(rng, bad):
+    x = rng.normal(size=(4, 4, 1))
+    gains = np.ones((4, 4, 1))
+    gains[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        frequency_branch_fwd(x, gains)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 2), (8, 8, 32)])
+def test_dft_and_idft_match_numpy_fft(rng, shape):
+    """Non-square grids pin the Kronecker order of the 2-d DFT matrix."""
+    x = rng.normal(size=shape)
+    grid, _ = spectral.dft2d_fwd(x)
+    ref = np.fft.fft2(x, axes=(-3, -2))
+    np.testing.assert_allclose(grid.re, ref.real, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grid.im, ref.imag, rtol=0, atol=1e-12)
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    y, _ = spectral.idft2d_fwd(spectral.ComplexGrid(re, im))
+    np.testing.assert_allclose(y, np.fft.ifft2(re + 1j * im, axes=(-3, -2)).real,
+                               rtol=0, atol=1e-12)
+
+
+def test_dft_matrix_is_cached_and_read_only():
+    m = spectral._dft_matrix(3, 5)
+    assert m.shape == (2 * 15, 15)
+    assert spectral._dft_matrix(3, 5) is m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
+def test_frequency_branch_batch_rows_match_single_calls(rng):
+    x = rng.normal(size=(48, 8, 8, 32))
+    gains = np.exp(rng.normal(size=(8, 8, 32)) * 0.5)
+    dy = rng.normal(size=x.shape)
+    y, cache = frequency_branch_fwd(x, gains)
+    dx, _ = frequency_branch_bwd(dy, cache)
+    for b in range(48):
+        yb, cb = frequency_branch_fwd(x[b:b + 1], gains)
+        assert np.abs(y[b:b + 1] - yb).max() <= 1e-12
+        assert np.abs(dx[b:b + 1] - frequency_branch_bwd(dy[b:b + 1], cb)[0]).max() <= 1e-12
