@@ -144,15 +144,14 @@ def _check_attention(eps, tol):
 
 def _check_gem(eps, tol):
     x = _rng(11).normal(size=(2, 4, 4, 3))
-    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, eps, tol,
-               p=3.0, axes=(1, 2))
+    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, eps, tol, p=3.0)
 
 
 def _check_dft(eps, tol):
     r = _rng(12)
-    x = r.normal(size=(4, 4, 2))
-    wre = probe_weights((4, 4, 2), seed=5)
-    wim = probe_weights((4, 4, 2), seed=6)
+    x = r.normal(size=(4, 4, 2))[None]
+    wre = probe_weights((4, 4, 2), seed=5)[None]
+    wim = probe_weights((4, 4, 2), seed=6)[None]
 
     def fn(p):
         grid, cache = spectral.dft2d_fwd(p["x"])
@@ -165,8 +164,8 @@ def _check_dft(eps, tol):
 
 def _check_idft(eps, tol):
     r = _rng(13)
-    re, im = r.normal(size=(4, 4, 2)), r.normal(size=(4, 4, 2))
-    w = probe_weights((4, 4, 2), seed=7)
+    re, im = r.normal(size=(4, 4, 2))[None], r.normal(size=(4, 4, 2))[None]
+    w = probe_weights((4, 4, 2), seed=7)[None]
 
     def fn(p):
         y, cache = spectral.idft2d_fwd(spectral.ComplexGrid(p["re"], p["im"]))
@@ -178,9 +177,9 @@ def _check_idft(eps, tol):
 
 def _check_frequency_branch(eps, tol):
     r = _rng(15)
-    x = r.normal(size=(4, 4, 3))
+    x = r.normal(size=(4, 4, 3))[None]
     gains_log = r.normal(size=(4, 4, 3)) * 0.3
-    w = probe_weights((4, 4, 3), seed=8)
+    w = probe_weights((4, 4, 3), seed=8)[None]
 
     def fn(p):
         gains = np.exp(p["gains_log"])

@@ -165,6 +165,10 @@ def _load_model(path):
     if bad:
         raise CheckpointError(f"{path}: {len(bad)} tensor names or shapes differ from the "
                               f"header's model, such as {', '.join(bad[:3])}")
+    bad = sorted(n for n, v in params.items() if not np.all(np.isfinite(v)))
+    if bad:
+        raise CheckpointError(f"{path}: {len(bad)} tensors hold NaN or infinite values, "
+                              f"such as {', '.join(bad[:3])}")
     return params, cfg.model
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .checkpoint import atomic_write
+from .dfm import DFM_MODES
 
 
 class ConfigError(ValueError):
@@ -35,7 +36,7 @@ class ModelConfig:
     align_mid: int = 6           # intermediate side of the upsampler, between cnn_grid and grid
     adapter_ratio: float = 0.5
     adapter_scale_init: float = 0.1
-    dfm_mode: str = "paper-text"  # or "verbatim-eq5"
+    dfm_mode: str = "paper-text"  # one of dfm.DFM_MODES
 
     def __post_init__(self):
         for name in ("patch_size", "num_heads", "cnn_grid", "embed_dim", "cnn_channels", "depth"):
@@ -54,7 +55,7 @@ class ModelConfig:
                 f"align_mid {self.align_mid} must lie between cnn_grid {self.cnn_grid} "
                 f"and grid {self.grid}"
             )
-        if self.dfm_mode not in ("paper-text", "verbatim-eq5"):
+        if self.dfm_mode not in DFM_MODES:
             raise ConfigError(f"unknown dfm_mode {self.dfm_mode!r}")
         stage_out = self.image_size // 8  # three stride-2 stages
         if stage_out % self.cnn_grid != 0:

@@ -51,7 +51,7 @@ def regional_pool_fwd(fmap):
     outs = []
     caches = []
     for rows, cols in _region_slices(g):
-        y, c_gem = ops.gem_pool_fwd(fmap[:, rows, cols, :], p=GEM_P, axes=(1, 2))
+        y, c_gem = ops.gem_pool_fwd(fmap[:, rows, cols, :], p=GEM_P)
         outs.append(y)
         caches.append(c_gem)
     return np.stack(outs, axis=1), (caches, fmap.shape)

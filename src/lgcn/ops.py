@@ -1,7 +1,8 @@
 """Differentiable operator set: each op ships a forward and a hand-written backward.
 
 Conventions:
-  - feature maps are channels-last, (H, W, C) or batched (B, H, W, C)
+  - feature maps are channels-last and batched, (B, H, W, C); map ops
+    reject any other rank
   - forward returns (output, cache); backward takes (grad_output, cache)
     and returns gradients in the same order as the forward inputs
   - float64 is used for training and tests; ops preserve the input dtype
@@ -29,16 +30,8 @@ def _check(cond: bool, msg: str) -> None:
         raise ShapeError(msg)
 
 
-def _batched(x: np.ndarray):
-    """Promote (H, W, C) to (1, H, W, C); return (array, had_batch)."""
-    if x.ndim == 3:
-        return x[None], False
-    _check(x.ndim == 4, f"expected 3- or 4-d map, got {x.ndim}-d")
-    return x, True
-
-
-def _debatch(y: np.ndarray, had_batch: bool) -> np.ndarray:
-    return y if had_batch else y[0]
+def _check_map(x: np.ndarray, op: str) -> None:
+    _check(x.ndim == 4, f"{op}: expected a (B, H, W, C) map, got {x.ndim}-d")
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +215,23 @@ def _pad_hw(xb, p):
 def conv2d_fwd(x, w, b=None, stride=1, padding=0):
     """2-d convolution (cross-correlation) on channels-last maps.
 
-    x: (B, H, W, Cin) or (H, W, Cin); w: (Cout, Cin, kh, kw).
+    x: (B, H, W, Cin); w: (Cout, Cin, kh, kw).
     Output spatial side: floor((H + 2p - k) / stride) + 1.
     """
-    xb, had_batch = _batched(x)
+    _check_map(x, "conv2d")
     cout, cin, kh, kw = w.shape
     _check(stride >= 1 and kh >= 1 and kw >= 1, "conv2d: stride and kernel must be >= 1")
-    _check(xb.shape[3] == cin,
-           f"conv2d: input channel axis has {xb.shape[3]}, kernel expects {cin}")
-    B, H, W, _ = xb.shape
+    _check(x.shape[3] == cin,
+           f"conv2d: input channel axis has {x.shape[3]}, kernel expects {cin}")
+    B, H, W, _ = x.shape
     _check(H + 2 * padding >= kh,
            f"conv2d: padded height {H + 2 * padding} smaller than kernel {kh}")
     _check(W + 2 * padding >= kw,
            f"conv2d: padded width {W + 2 * padding} smaller than kernel {kw}")
-    xp = _pad_hw(xb, padding)
+    xp = _pad_hw(x, padding)
     oh = (H + 2 * padding - kh) // stride + 1
     ow = (W + 2 * padding - kw) // stride + 1
-    cols = np.empty((B, oh, ow, kh, kw, cin), dtype=xb.dtype)
+    cols = np.empty((B, oh, ow, kh, kw, cin), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, :, i, j, :] = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :]
@@ -247,87 +240,77 @@ def conv2d_fwd(x, w, b=None, stride=1, padding=0):
     y = (cols.reshape(-1, kh * kw * cin) @ wmat).reshape(B, oh, ow, cout)
     if b is not None:
         y += b
-    cache = (cols, w, b is not None, stride, padding, xb.shape, had_batch)
-    return _debatch(y, had_batch), cache
+    return y, (cols, w, b is not None, stride, padding, x.shape)
 
 
 def conv2d_bwd(dy, cache, inputs=True):
     """(dx, dw, db); inputs=False skips dx (None)."""
-    cols, w, has_b, stride, padding, xshape, had_batch = cache
-    dyb, _ = _batched(dy)
+    cols, w, has_b, stride, padding, xshape = cache
     cout, cin, kh, kw = w.shape
     B, H, W, _ = xshape
-    oh, ow = dyb.shape[1], dyb.shape[2]
-    dy_flat = dyb.reshape(-1, cout)
+    oh, ow = dy.shape[1], dy.shape[2]
+    dy_flat = dy.reshape(-1, cout)
     dwmat = cols.reshape(-1, kh * kw * cin).T @ dy_flat
     dw = dwmat.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
     if INJECT_GRADIENT_BUG:
         dw = dw * 2.0
-    db = dyb.sum(axis=(0, 1, 2)) if has_b else None
+    db = dy.sum(axis=(0, 1, 2)) if has_b else None
     if not inputs:
         return None, dw, db
-    dxp = np.zeros((B, H + 2 * padding, W + 2 * padding, cin), dtype=dyb.dtype)
+    dxp = np.zeros((B, H + 2 * padding, W + 2 * padding, cin), dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += dyb @ w[:, :, i, j]
-    dx = dxp[:, padding:padding + H, padding:padding + W, :]
-    return _debatch(dx, had_batch), dw, db
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += dy @ w[:, :, i, j]
+    return dxp[:, padding:padding + H, padding:padding + W, :], dw, db
 
 
 def depthwise_conv2d_fwd(x, k, padding=1):
     """Per-channel 2-d convolution: one k x k slice per input channel.
 
-    x: (B, H, W, C) or (H, W, C); k: (C, kh, kw). Stride is fixed at 1.
+    x: (B, H, W, C); k: (C, kh, kw). Stride is fixed at 1.
     Channel c of the output depends only on channel c of the input.
     """
-    xb, had_batch = _batched(x)
+    _check_map(x, "depthwise_conv2d")
     C, kh, kw = k.shape
-    _check(xb.shape[3] == C,
-           f"depthwise_conv2d: input channel axis has {xb.shape[3]}, kernel has {C} slices")
-    B, H, W, _ = xb.shape
-    xp = _pad_hw(xb, padding)
+    _check(x.shape[3] == C,
+           f"depthwise_conv2d: input channel axis has {x.shape[3]}, kernel has {C} slices")
+    B, H, W, _ = x.shape
+    xp = _pad_hw(x, padding)
     oh = H + 2 * padding - kh + 1
     ow = W + 2 * padding - kw + 1
-    y = np.zeros((B, oh, ow, C), dtype=xb.dtype)
+    y = np.zeros((B, oh, ow, C), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             y += xp[:, i:i + oh, j:j + ow, :] * k[:, i, j]
-    cache = (xp, k, padding, xb.shape, had_batch)
-    return _debatch(y, had_batch), cache
+    return y, (xp, k, padding, x.shape)
 
 
 def depthwise_conv2d_bwd(dy, cache):
-    xp, k, padding, xshape, had_batch = cache
-    dyb, _ = _batched(dy)
+    xp, k, padding, xshape = cache
     C, kh, kw = k.shape
     B, H, W, _ = xshape
-    oh, ow = dyb.shape[1], dyb.shape[2]
+    oh, ow = dy.shape[1], dy.shape[2]
     dxp = np.zeros_like(xp)
     dk = np.zeros_like(k)
     for i in range(kh):
         for j in range(kw):
-            dk[:, i, j] = (dyb * xp[:, i:i + oh, j:j + ow, :]).sum(axis=(0, 1, 2))
-            dxp[:, i:i + oh, j:j + ow, :] += dyb * k[:, i, j]
-    dx = dxp[:, padding:padding + H, padding:padding + W, :]
-    return _debatch(dx, had_batch), dk
+            dk[:, i, j] = (dy * xp[:, i:i + oh, j:j + ow, :]).sum(axis=(0, 1, 2))
+            dxp[:, i:i + oh, j:j + ow, :] += dy * k[:, i, j]
+    return dxp[:, padding:padding + H, padding:padding + W, :], dk
 
 
 def avg_pool2d_fwd(x, factor):
     """Non-overlapping factor x factor mean pool."""
-    xb, had_batch = _batched(x)
-    B, H, W, C = xb.shape
+    _check_map(x, "avg_pool2d")
+    B, H, W, C = x.shape
     _check(H % factor == 0 and W % factor == 0,
            f"avg_pool2d: spatial side {H}x{W} not divisible by factor {factor}")
-    y = xb.reshape(B, H // factor, factor, W // factor, factor, C).mean(axis=(2, 4))
-    return _debatch(y, had_batch), (factor, xb.shape, had_batch)
+    y = x.reshape(B, H // factor, factor, W // factor, factor, C).mean(axis=(2, 4))
+    return y, factor
 
 
-def avg_pool2d_bwd(dy, cache):
-    factor, xshape, had_batch = cache
-    dyb, _ = _batched(dy)
-    B, H, W, C = xshape
-    dx = np.repeat(np.repeat(dyb, factor, axis=1), factor, axis=2) / (factor * factor)
-    return _debatch(dx, had_batch)
+def avg_pool2d_bwd(dy, factor):
+    return np.repeat(np.repeat(dy, factor, axis=1), factor, axis=2) / (factor * factor)
 
 
 # ---------------------------------------------------------------------------
@@ -368,47 +351,39 @@ def bilinear_resize_fwd(x, out_h, out_w):
     Separable: y = Rh @ x @ Rw^T per channel, with Rh, Rw cached per size.
     """
     _check(out_h >= 1 and out_w >= 1, "bilinear_resize: output sides must be >= 1")
-    xb, had_batch = _batched(x)
-    B, H, W, C = xb.shape
+    _check_map(x, "bilinear_resize")
+    B, H, W, C = x.shape
     rh, rw = _resize_matrix(H, out_h), _resize_matrix(W, out_w)
-    y = _resize_cols(_resize_rows(xb, rh), rw)
-    return _debatch(y, had_batch), (rh, rw, had_batch)
+    return _resize_cols(_resize_rows(x, rh), rw), (rh, rw)
 
 
 def bilinear_resize_bwd(dy, cache):
-    rh, rw, had_batch = cache
-    dyb, _ = _batched(dy)
-    dx = _resize_rows(_resize_cols(dyb, rw.T), rh.T)
-    return _debatch(dx, had_batch)
+    rh, rw = cache
+    return _resize_rows(_resize_cols(dy, rw.T), rh.T)
 
 
 # ---------------------------------------------------------------------------
 # losses / pooling helpers
 # ---------------------------------------------------------------------------
 
-def gem_pool_fwd(x, p=3.0, axes=None):
-    """Generalized-mean pool: (mean over pooled axes of softplus(x)^p)^(1/p).
+def gem_pool_fwd(x, p=3.0):
+    """Generalized-mean pool of a (B, H, W, C) map over its spatial axes.
 
-    Inputs are shifted positive with softplus before the power mean, so the
-    fractional power is always defined. axes=None pools every axis except
-    the last (channel) one.
+    (mean over H, W of softplus(x)^p)^(1/p), one (B, C) vector. Inputs are
+    shifted positive with softplus before the power mean, so the fractional
+    power is always defined.
     """
+    _check_map(x, "gem_pool")
     u, sp_cache = softplus_fwd(x)
     up = u ** p
-    if axes is None:
-        axes = tuple(range(x.ndim - 1))
-    m = up.mean(axis=axes)
-    n_pix = 1
-    for a in axes:
-        n_pix *= x.shape[a]
+    m = up.mean(axis=(1, 2))
     y = m ** (1.0 / p)
-    return y, (u, m, p, sp_cache, axes, n_pix)
+    return y, (u, m, p, sp_cache, x.shape[1] * x.shape[2])
 
 
 def gem_pool_bwd(dy, cache):
-    u, m, p, sp_cache, axes, n_pix = cache
+    u, m, p, sp_cache, n_pix = cache
     dm = dy * (1.0 / p) * m ** (1.0 / p - 1.0)
-    for a in sorted(axes):
-        dm = np.expand_dims(dm, axis=a)
+    dm = dm[:, None, None, :]
     du = (p * u ** (p - 1.0)) * (dm / n_pix)
     return softplus_bwd(du, sp_cache)

@@ -2,7 +2,8 @@
 
 The DFT is computed in its direct matrix form (exact, no FFT); grids here
 never exceed a few hundred bins so asymptotics are irrelevant. Inputs are
-real, so the transform is one real matmul over the flattened spatial axis:
+real, so the transform is one real matmul over the flattened spatial axis
+of a (B, H, W, C) map:
 M = [Re F; Im F] with F = kron(F_H, F_W), which is 2N x N for N = H * W.
 F is symmetric, so M's transpose maps a stacked spectrum back to space.
 """
@@ -14,19 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ops import _batched, _check, _debatch
+from .ops import _check, _check_map
 
 
 @dataclass
 class ComplexGrid:
-    """Frequency-domain counterpart of a feature map: real and imaginary grids."""
+    """Frequency-domain counterpart of a (B, H, W, C) map: real and imaginary grids."""
 
     re: np.ndarray
     im: np.ndarray
-
-    @property
-    def shape(self):
-        return self.re.shape
 
     def amplitude(self) -> np.ndarray:
         return np.sqrt(self.re ** 2 + self.im ** 2)
@@ -50,51 +47,47 @@ def _dft_matrix(h: int, w: int) -> np.ndarray:
 
 def _stack(grid: ComplexGrid):
     """(B, 2N, C) stack of a grid's real and imaginary parts."""
-    reb, had_batch = _batched(grid.re)
-    B, H, W, C = reb.shape
-    parts = (reb, _batched(grid.im)[0])
-    return np.concatenate([p.reshape(B, H * W, C) for p in parts], axis=1), reb.shape, had_batch
+    B, H, W, C = grid.re.shape
+    return np.concatenate([p.reshape(B, H * W, C) for p in (grid.re, grid.im)], axis=1)
 
 
-def _unstack(stacked, shape, had_batch) -> ComplexGrid:
+def _unstack(stacked, shape) -> ComplexGrid:
     n = shape[1] * shape[2]
-    return ComplexGrid(_debatch(stacked[:, :n].reshape(shape), had_batch),
-                       _debatch(stacked[:, n:].reshape(shape), had_batch))
+    return ComplexGrid(stacked[:, :n].reshape(shape), stacked[:, n:].reshape(shape))
 
 
 def dft2d_fwd(x):
-    """Per-channel 2-d DFT of a (B, H, W, C) or (H, W, C) map."""
-    xb, had_batch = _batched(x)
-    B, H, W, C = xb.shape
-    spec = _dft_matrix(H, W) @ xb.reshape(B, H * W, C)
-    return _unstack(spec, xb.shape, had_batch), (xb.shape, had_batch)
+    """Per-channel 2-d DFT of a (B, H, W, C) map."""
+    _check_map(x, "dft2d")
+    B, H, W, C = x.shape
+    spec = _dft_matrix(H, W) @ x.reshape(B, H * W, C)
+    return _unstack(spec, x.shape), x.shape
 
 
-def dft2d_bwd(dgrid: ComplexGrid, cache):
-    xshape, had_batch = cache
+def dft2d_bwd(dgrid: ComplexGrid, xshape):
     # Adjoint of the real->complex linear map: sum each bin's cos/sin weights.
-    dspec, _, _ = _stack(dgrid)
+    dspec = _stack(dgrid)
     dx = _dft_matrix(*xshape[1:3]).T @ dspec
-    return _debatch(dx.reshape(xshape), had_batch)
+    return dx.reshape(xshape)
 
 
 def idft2d_fwd(grid: ComplexGrid):
-    """Real part of the per-channel inverse 2-d DFT."""
+    """Real part of the per-channel inverse 2-d DFT of a (B, H, W, C) grid."""
+    _check_map(grid.re, "idft2d")
     _check(grid.re.shape == grid.im.shape, "idft2d: re/im shapes differ")
-    spec, shape, had_batch = _stack(grid)
+    spec, shape = _stack(grid), grid.re.shape
     B, H, W, C = shape
     x = _dft_matrix(H, W).T @ spec
     x /= H * W
-    return _debatch(x.reshape(shape), had_batch), (shape, had_batch)
+    return x.reshape(shape), shape
 
 
-def idft2d_bwd(dy, cache):
-    shape, had_batch = cache
+def idft2d_bwd(dy, shape):
     B, H, W, C = shape
     # d(Re idft)/d(im) picks up the -sin weights, i.e. +Im of the forward DFT.
-    dspec = _dft_matrix(H, W) @ _batched(dy)[0].reshape(B, H * W, C)
+    dspec = _dft_matrix(H, W) @ dy.reshape(B, H * W, C)
     dspec /= H * W
-    return _unstack(dspec, shape, had_batch)
+    return _unstack(dspec, shape)
 
 
 def amplitude_modulate_fwd(grid: ComplexGrid, gains):
@@ -113,7 +106,5 @@ def amplitude_modulate_bwd(dout: ComplexGrid, cache):
     grid, gains = cache
     dre = dout.re * gains
     dim = dout.im * gains
-    dgains = dout.re * grid.re + dout.im * grid.im
-    if dgains.ndim == 4:
-        dgains = dgains.sum(axis=0)
+    dgains = (dout.re * grid.re + dout.im * grid.im).sum(axis=0)
     return ComplexGrid(dre, dim), dgains

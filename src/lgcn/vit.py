@@ -38,30 +38,26 @@ def vit_spec(cfg) -> list:
 def patch_embed_fwd(images, params, cfg):
     """Split the image into P x P patches, project, add position, prepend class.
 
-    images: (B, S, S, 3) in [0, 1] (or a single unbatched image).
-    Output: (B, 1 + G^2, D), or (1 + G^2, D) for an unbatched input.
+    images: (B, S, S, 3) in [0, 1]. Output: (B, 1 + G^2, D).
     """
-    imb, had_batch = ops._batched(images)
-    B, H, W, C = imb.shape
+    ops._check_map(images, "patch_embed")
+    B, H, W, C = images.shape
     if (H, W, C) != (cfg.image_size, cfg.image_size, 3):
         raise ops.ShapeError(
             f"patch_embed: image {H}x{W}x{C} does not match config "
             f"{cfg.image_size}x{cfg.image_size}x3")
     g, p = cfg.grid, cfg.patch_size
-    patches = imb.reshape(B, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * g, p * p * 3)
+    patches = images.reshape(B, g, p, g, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * g, p * p * 3)
     proj, c_lin = ops.linear_fwd(patches, params["vit.patch.proj_w"], params["vit.patch.proj_b"])
     tok = proj + params["vit.patch.pos"]
     cls = np.broadcast_to(params["vit.patch.cls"], (B, 1, cfg.embed_dim))
     tokens = np.concatenate([cls, tok], axis=1)
-    cache = (c_lin, (B, g, p), had_batch)
-    return (tokens if had_batch else tokens[0]), cache
+    return tokens, (c_lin, (B, g, p))
 
 
 def patch_embed_bwd(dtokens, cache, grads, trainable=None):
     """Image gradient; with a trainable set, only its names' gradients and an empty array."""
-    c_lin, (B, g, p), had_batch = cache
-    if dtokens.ndim == 2:
-        dtokens = dtokens[None]
+    c_lin, (B, g, p) = cache
     dtok = dtokens[:, 1:, :]
     _acc(grads, trainable, "vit.patch.cls", dtokens[:, 0, :].sum(axis=0))
     _acc(grads, trainable, "vit.patch.pos", dtok.sum(axis=0))
@@ -69,8 +65,7 @@ def patch_embed_bwd(dtokens, cache, grads, trainable=None):
                            trainable, inputs=trainable is None)
     if dpatches is None:
         return np.empty(0)
-    dimages = dpatches.reshape(B, g, g, p, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * p, g * p, 3)
-    return dimages if had_batch else dimages[0]
+    return dpatches.reshape(B, g, g, p, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * p, g * p, 3)
 
 
 def _acc(grads, trainable, name, g):

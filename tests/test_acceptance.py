@@ -73,7 +73,7 @@ def test_criterion_2_spectral_invariants():
     worst_pv = 0.0
     for seed in range(100):
         x = np.random.default_rng(seed).normal(size=(8, 8, 4))
-        grid, _ = spectral.dft2d_fwd(x)
+        grid, _ = spectral.dft2d_fwd(x[None])
         back, _ = spectral.idft2d_fwd(grid)
         worst_rt = max(worst_rt, float(np.abs(back - x).max()))
         spatial = float((x ** 2).sum())

@@ -332,10 +332,30 @@ def test_non_finite_adapter_gains_are_runtime_error(tmp_path, world, trained, ca
     params["fsa.block1.fuse_w"] = np.full_like(params["fsa.block1.fuse_w"], 0.1)
     ckpt = tmp_path / "inf-gains.ckpt"
     save_checkpoint(ckpt, params, header)
-    code, err = _eval_exit(tmp_path, world, ckpt, capsys)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        code, err = _eval_exit(tmp_path, world, ckpt, capsys)
     assert code == 2
     assert err.startswith("error: ") and "finite and strictly positive" in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "heatmap"])
+def test_non_finite_checkpoint_tensor_is_runtime_error(tmp_path, world, trained, capsys,
+                                                       command, bad):
+    # unchecked, such a tensor gives eval NaN descriptors and heatmap an IndexError
+    from lgcn.checkpoint import save_checkpoint
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    params["cnn.align.w"] = np.full_like(params["cnn.align.w"], bad)
+    ckpt = tmp_path / "non-finite.ckpt"
+    save_checkpoint(ckpt, params, header)
+    out = tmp_path / ("r.json" if command == "eval" else "h.ppm")
+    args = (["--data", str(world)] if command == "eval"
+            else ["--image", str(world / "images" / "p0000_v0.ppm")])
+    assert main([command, "--checkpoint", str(ckpt), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or infinite" in err and "cnn.align.w" in err
+    assert not out.exists()
 
 
 def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, trained):

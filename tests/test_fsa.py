@@ -29,7 +29,7 @@ def test_spatial_branch_identity_kernel_pre_activation(rng):
     x = rng.normal(size=(8, 8, cfg.adapter_dim))
     k = np.zeros((cfg.adapter_dim, 3, 3))
     k[:, 1, 1] = 1.0
-    y, _ = fsa.spatial_branch_fwd(x, k)
+    (y,), _ = fsa.spatial_branch_fwd(x[None], k)
     np.testing.assert_allclose(y, ops.gelu_fwd(x)[0], atol=1e-12)
 
 
@@ -37,10 +37,10 @@ def test_spatial_branch_channel_separability(rng):
     cfg = toy_cfg()
     k = rng.normal(size=(cfg.adapter_dim, 3, 3))
     x = rng.normal(size=(8, 8, cfg.adapter_dim))
-    y0, _ = fsa.spatial_branch_fwd(x, k)
+    (y0,), _ = fsa.spatial_branch_fwd(x[None], k)
     x2 = x.copy()
     x2[:, :, 0] += 1.0
-    y1, _ = fsa.spatial_branch_fwd(x2, k)
+    (y1,), _ = fsa.spatial_branch_fwd(x2[None], k)
     np.testing.assert_array_equal(y0[:, :, 1:], y1[:, :, 1:])
 
 
@@ -48,8 +48,8 @@ def test_spatial_branch_matches_composed_ops(rng):
     cfg = toy_cfg()
     k = rng.normal(size=(cfg.adapter_dim, 3, 3))
     x = rng.normal(size=(8, 8, cfg.adapter_dim))
-    y, _ = fsa.spatial_branch_fwd(x, k)
-    ref = ops.gelu_fwd(ops.depthwise_conv2d_fwd(x, k, padding=1)[0])[0]
+    y, _ = fsa.spatial_branch_fwd(x[None], k)
+    ref = ops.gelu_fwd(ops.depthwise_conv2d_fwd(x[None], k, padding=1)[0])[0]
     assert np.abs(y - ref).max() < 1e-12
 
 

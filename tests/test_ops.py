@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgcn import ops
+from lgcn import ops, spectral, vit
+from lgcn.config import ModelConfig
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def layernorm_ref(x, gamma, beta, eps=1e-5):
 def test_conv2d_scalar_multiply():
     x = np.array([[[2.0]]])
     w = np.array([[[[3.0]]]])
-    y, _ = ops.conv2d_fwd(x, w, None, stride=1, padding=0)
+    (y,), _ = ops.conv2d_fwd(x[None], w, None, stride=1, padding=0)
     assert y.shape == (1, 1, 1)
     assert y[0, 0, 0] == 6.0
 
@@ -83,7 +84,7 @@ def test_conv2d_scalar_multiply():
 def test_conv2d_overlap_counting():
     x = np.ones((3, 3, 1))
     w = np.ones((1, 1, 3, 3))
-    y, _ = ops.conv2d_fwd(x, w, None, stride=1, padding=1)
+    (y,), _ = ops.conv2d_fwd(x[None], w, None, stride=1, padding=1)
     assert y[1, 1, 0] == 9.0
     assert y[0, 0, 0] == 4.0
     assert y[0, 1, 0] == 6.0
@@ -111,14 +112,14 @@ def test_conv2d_channel_mismatch_names_axis(rng):
     x = rng.normal(size=(4, 4, 2))
     w = rng.normal(size=(3, 3, 3, 3))
     with pytest.raises(ops.ShapeError, match="channel"):
-        ops.conv2d_fwd(x, w, None)
+        ops.conv2d_fwd(x[None], w, None)
 
 
 def test_conv2d_kernel_larger_than_padded_input():
     x = np.ones((2, 2, 1))
     w = np.ones((1, 1, 5, 5))
     with pytest.raises(ops.ShapeError, match="height"):
-        ops.conv2d_fwd(x, w, None, stride=1, padding=1)
+        ops.conv2d_fwd(x[None], w, None, stride=1, padding=1)
 
 
 def test_conv2d_linear_in_input_and_kernel(rng):
@@ -138,14 +139,14 @@ def test_depthwise_identity_kernel(rng):
     x = rng.normal(size=(4, 4, 3))
     k = np.zeros((3, 3, 3))
     k[:, 1, 1] = 1.0
-    y, _ = ops.depthwise_conv2d_fwd(x, k, padding=1)
+    (y,), _ = ops.depthwise_conv2d_fwd(x[None], k, padding=1)
     np.testing.assert_array_equal(y, x)
 
 
 def test_depthwise_reduces_to_per_channel_conv2d(rng):
     x = rng.normal(size=(4, 4, 2))
     k = rng.normal(size=(2, 3, 3))
-    y, _ = ops.depthwise_conv2d_fwd(x, k, padding=1)
+    (y,), _ = ops.depthwise_conv2d_fwd(x[None], k, padding=1)
     for c in range(2):
         ref = conv2d_ref(x[None, :, :, c:c + 1], k[c][None, None], None, 1, 1)
         assert np.abs(y[:, :, c] - ref[0, :, :, 0]).max() < 1e-12
@@ -154,17 +155,17 @@ def test_depthwise_reduces_to_per_channel_conv2d(rng):
 def test_depthwise_channel_separability(rng):
     x = rng.normal(size=(5, 5, 2))
     k = rng.normal(size=(2, 3, 3))
-    y0, _ = ops.depthwise_conv2d_fwd(x, k, padding=1)
+    (y0,), _ = ops.depthwise_conv2d_fwd(x[None], k, padding=1)
     x2 = x.copy()
     x2[:, :, 0] += rng.normal(size=(5, 5))
-    y1, _ = ops.depthwise_conv2d_fwd(x2, k, padding=1)
+    (y1,), _ = ops.depthwise_conv2d_fwd(x2[None], k, padding=1)
     np.testing.assert_array_equal(y0[:, :, 1], y1[:, :, 1])
     assert np.any(y0[:, :, 0] != y1[:, :, 0])
 
 
 def test_depthwise_channel_count_mismatch(rng):
     with pytest.raises(ops.ShapeError, match="channel"):
-        ops.depthwise_conv2d_fwd(rng.normal(size=(4, 4, 2)), rng.normal(size=(3, 3, 3)))
+        ops.depthwise_conv2d_fwd(rng.normal(size=(4, 4, 2))[None], rng.normal(size=(3, 3, 3)))
 
 
 def _np_pad(x, p):
@@ -175,13 +176,20 @@ def _np_pad(x, p):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("shape", [(2, 7, 6, 3), (5, 6, 3)], ids=["batched", "unbatched"])
 def test_slice_padding_matches_np_pad_bitwise(rng, shape, stride, padding):
+    """A batched map pads bitwise like np.pad; an unbatched one is rejected."""
     x = rng.normal(size=shape)
     w = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4)
+    k = rng.normal(size=(3, 3, 3))
+    if x.ndim == 3:
+        with pytest.raises(ops.ShapeError, match="^conv2d:"):
+            ops.conv2d_fwd(x, w, b, stride=stride, padding=padding)
+        with pytest.raises(ops.ShapeError, match="^depthwise_conv2d:"):
+            ops.depthwise_conv2d_fwd(x, k, padding=padding)
+        return
     y, _ = ops.conv2d_fwd(x, w, b, stride=stride, padding=padding)
     ref, _ = ops.conv2d_fwd(_np_pad(x, padding), w, b, stride=stride, padding=0)
     np.testing.assert_array_equal(y, ref)
-    k = rng.normal(size=(3, 3, 3))
     y, (xp, *_) = ops.depthwise_conv2d_fwd(x, k, padding=padding)
     ref, _ = ops.depthwise_conv2d_fwd(_np_pad(x, padding), k, padding=0)
     np.testing.assert_array_equal(y, ref)
@@ -195,13 +203,13 @@ def test_slice_padding_matches_np_pad_bitwise(rng, shape, stride, padding):
 def test_bilinear_constant_preserved():
     x = np.full((3, 5, 2), 7.0)
     for oh, ow in [(1, 1), (4, 4), (9, 2), (6, 10)]:
-        y, _ = ops.bilinear_resize_fwd(x, oh, ow)
+        (y,), _ = ops.bilinear_resize_fwd(x[None], oh, ow)
         np.testing.assert_allclose(y, 7.0, atol=1e-12)
 
 
 def test_bilinear_2x2_to_4x4_corners_and_convexity():
     x = np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None]
-    y, _ = ops.bilinear_resize_fwd(x, 4, 4)
+    (y,), _ = ops.bilinear_resize_fwd(x[None], 4, 4)
     assert y[0, 0, 0] == 0.0 and y[0, 3, 0] == 1.0
     assert y[3, 0, 0] == 2.0 and y[3, 3, 0] == 3.0
     assert y.min() >= 0.0 and y.max() <= 3.0
@@ -209,13 +217,13 @@ def test_bilinear_2x2_to_4x4_corners_and_convexity():
 
 def test_bilinear_matches_formula_oracle(rng):
     x = rng.normal(size=(7, 7, 3))
-    y, _ = ops.bilinear_resize_fwd(x, 14, 14)
+    (y,), _ = ops.bilinear_resize_fwd(x[None], 14, 14)
     assert np.abs(y - bilinear_ref(x, 14, 14)).max() < 1e-12
 
 
 def test_bilinear_downsample_matches_oracle(rng):
     x = rng.normal(size=(8, 6, 2))
-    y, _ = ops.bilinear_resize_fwd(x, 3, 5)
+    (y,), _ = ops.bilinear_resize_fwd(x[None], 3, 5)
     assert np.abs(y - bilinear_ref(x, 3, 5)).max() < 1e-12
 
 
@@ -398,7 +406,7 @@ def softplus(x):
 
 def test_gem_constant_map_constant_output():
     x = np.full((4, 4, 3), 1.5)
-    y, _ = ops.gem_pool_fwd(x, p=3.0)
+    (y,), _ = ops.gem_pool_fwd(x[None], p=3.0)
     # the power mean of a constant is that constant (after the positive shift)
     np.testing.assert_allclose(y, softplus(1.5), atol=1e-12)
     assert np.ptp(y) == 0.0
@@ -406,14 +414,14 @@ def test_gem_constant_map_constant_output():
 
 def test_gem_p1_reduces_to_mean_pool(rng):
     x = rng.normal(size=(5, 5, 2))
-    y, _ = ops.gem_pool_fwd(x, p=1.0)
+    (y,), _ = ops.gem_pool_fwd(x[None], p=1.0)
     np.testing.assert_allclose(y, softplus(x).mean(axis=(0, 1)), atol=1e-12)
 
 
 def test_gem_direct_formula_oracle(rng):
     x = rng.normal(size=(6, 6, 4))
     p = 3.0
-    y, _ = ops.gem_pool_fwd(x, p=p)
+    (y,), _ = ops.gem_pool_fwd(x[None], p=p)
     ref = (softplus(x).reshape(-1, 4) ** p).mean(axis=0) ** (1 / p)
     np.testing.assert_allclose(y, ref, atol=1e-12)
 
@@ -421,7 +429,7 @@ def test_gem_direct_formula_oracle(rng):
 def test_gem_between_mean_and_max(rng):
     x = rng.normal(size=(8, 8, 1))
     u = softplus(x)
-    y, _ = ops.gem_pool_fwd(x, p=3.0)
+    (y,), _ = ops.gem_pool_fwd(x[None], p=3.0)
     assert u.mean() - 1e-12 <= y[0] <= u.max() + 1e-12
 
 
@@ -443,3 +451,29 @@ def test_ops_preserve_finiteness(rng, scale):
         ops.bilinear_resize_fwd(x, 9, 5)[0],
     ):
         assert np.all(np.isfinite(result))
+
+
+# ---------------------------------------------------------------------------
+# one map layout
+# ---------------------------------------------------------------------------
+
+_TOY = ModelConfig.toy()
+# op name -> (side of the square map it is given, call on that map)
+_MAP_OPS = {
+    "conv2d": (4, lambda x: ops.conv2d_fwd(x, np.ones((1, 3, 1, 1)))),
+    "depthwise_conv2d": (4, lambda x: ops.depthwise_conv2d_fwd(x, np.ones((3, 3, 3)))),
+    "avg_pool2d": (4, lambda x: ops.avg_pool2d_fwd(x, 2)),
+    "bilinear_resize": (4, lambda x: ops.bilinear_resize_fwd(x, 3, 3)),
+    "gem_pool": (4, ops.gem_pool_fwd),
+    "dft2d": (4, spectral.dft2d_fwd),
+    "idft2d": (4, lambda x: spectral.idft2d_fwd(spectral.ComplexGrid(x, x))),
+    "patch_embed": (_TOY.image_size, lambda x: vit.patch_embed_fwd(x, {}, _TOY)),
+}
+
+
+@pytest.mark.parametrize("lead", [(), (1, 1)], ids=["3-d", "5-d"])
+@pytest.mark.parametrize("name", list(_MAP_OPS))
+def test_map_ops_take_only_batched_maps(name, lead):
+    side, call = _MAP_OPS[name]
+    with pytest.raises(ops.ShapeError, match=f"^{name}: expected a \\(B, H, W, C\\) map"):
+        call(np.ones(lead + (side, side, 3)))

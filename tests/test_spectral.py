@@ -21,7 +21,7 @@ def dft2d_loop_ref(x):
 
 def test_dft_matches_loop_reference(rng):
     x = rng.normal(size=(4, 4, 2))
-    grid, _ = spectral.dft2d_fwd(x)
+    grid, _ = spectral.dft2d_fwd(x[None])
     ref = dft2d_loop_ref(x)
     assert np.abs(grid.re - ref.real).max() < 1e-10
     assert np.abs(grid.im - ref.imag).max() < 1e-10
@@ -30,8 +30,8 @@ def test_dft_matches_loop_reference(rng):
 def test_constant_map_has_dc_only_spectrum():
     c = 3.25
     x = np.full((6, 5, 2), c)
-    grid, _ = spectral.dft2d_fwd(x)
-    amp = grid.amplitude()
+    grid, _ = spectral.dft2d_fwd(x[None])
+    amp = grid.amplitude()[0]
     np.testing.assert_allclose(amp[0, 0], c * 6 * 5, atol=1e-9)
     rest = amp.copy()
     rest[0, 0] = 0.0
@@ -41,13 +41,13 @@ def test_constant_map_has_dc_only_spectrum():
 def test_impulse_has_flat_amplitude_spectrum():
     x = np.zeros((8, 8, 1))
     x[3, 5, 0] = 1.0
-    grid, _ = spectral.dft2d_fwd(x)
+    grid, _ = spectral.dft2d_fwd(x[None])
     np.testing.assert_allclose(grid.amplitude(), 1.0, atol=1e-9)
 
 
 def test_roundtrip_and_parseval(rng):
     x = rng.normal(size=(8, 8, 3))
-    grid, _ = spectral.dft2d_fwd(x)
+    grid, _ = spectral.dft2d_fwd(x[None])
     back, _ = spectral.idft2d_fwd(grid)
     assert np.abs(back - x).max() < 1e-9
     spatial = (x ** 2).sum()
@@ -59,14 +59,14 @@ def test_batched_matches_per_image(rng):
     x = rng.normal(size=(3, 4, 4, 2))
     grid, _ = spectral.dft2d_fwd(x)
     for b in range(3):
-        gb, _ = spectral.dft2d_fwd(x[b])
-        np.testing.assert_allclose(grid.re[b], gb.re, atol=1e-12)
-        np.testing.assert_allclose(grid.im[b], gb.im, atol=1e-12)
+        gb, _ = spectral.dft2d_fwd(x[b:b + 1])
+        np.testing.assert_allclose(grid.re[b:b + 1], gb.re, atol=1e-12)
+        np.testing.assert_allclose(grid.im[b:b + 1], gb.im, atol=1e-12)
 
 
 def test_amplitude_modulate_scales_modulus_preserves_phase(rng):
     x = rng.normal(size=(4, 4, 2))
-    grid, _ = spectral.dft2d_fwd(x)
+    grid, _ = spectral.dft2d_fwd(x[None])
     gains = np.exp(rng.normal(size=(4, 4, 2)) * 0.5)
     out, _ = spectral.amplitude_modulate_fwd(grid, gains)
     np.testing.assert_allclose(out.amplitude(), grid.amplitude() * gains, atol=1e-9)
@@ -76,25 +76,25 @@ def test_amplitude_modulate_scales_modulus_preserves_phase(rng):
 
 
 def test_amplitude_modulate_shape_check(rng):
-    grid, _ = spectral.dft2d_fwd(rng.normal(size=(4, 4, 2)))
+    grid, _ = spectral.dft2d_fwd(rng.normal(size=(4, 4, 2))[None])
     with pytest.raises(ValueError):
         spectral.amplitude_modulate_fwd(grid, np.ones((4, 4, 3)))
 
 
 def test_frequency_branch_unit_gains_is_identity(rng):
     x = rng.normal(size=(8, 8, 4))
-    y, _ = frequency_branch_fwd(x, np.ones((8, 8, 4)))
+    y, _ = frequency_branch_fwd(x[None], np.ones((8, 8, 4)))
     assert np.abs(y - x).max() < 1e-9
 
 
 def test_frequency_branch_uniform_gain_is_homogeneous(rng):
     x = rng.normal(size=(8, 8, 2))
-    y, _ = frequency_branch_fwd(x, np.full((8, 8, 2), 2.0))
+    y, _ = frequency_branch_fwd(x[None], np.full((8, 8, 2), 2.0))
     assert np.abs(y - 2 * x).max() < 1e-9
     # for any fixed positive gains the branch is linear in its input
     gains = np.exp(rng.normal(size=(8, 8, 2)))
     a, b = rng.normal(size=(8, 8, 2)), rng.normal(size=(8, 8, 2))
-    fa, fb, fab = (frequency_branch_fwd(v, gains)[0] for v in (a, b, 2.0 * a - 3.0 * b))
+    fa, fb, fab = (frequency_branch_fwd(v[None], gains)[0] for v in (a, b, 2.0 * a - 3.0 * b))
     assert np.abs(fab - (2.0 * fa - 3.0 * fb)).max() < 1e-9
 
 
@@ -109,10 +109,10 @@ def test_frequency_branch_dc_boost_oracle(rng):
     x[4, 2, 0] += 1.0
     gains = np.ones((H, W, 1))
     gains[0, 0, 0] = 3.0
-    y, _ = frequency_branch_fwd(x, gains)
+    (y,), _ = frequency_branch_fwd(x[None], gains)
 
-    grid, _ = spectral.dft2d_fwd(x)
-    spec = grid.re + 1j * grid.im
+    grid, _ = spectral.dft2d_fwd(x[None])
+    spec = (grid.re + 1j * grid.im)[0]
     spec[0, 0, 0] *= 3.0
     ref = np.fft.ifft2(spec[:, :, 0]).real[:, :, None]
     assert np.abs(y - ref).max() < 1e-9
@@ -123,7 +123,7 @@ def test_frequency_branch_dc_boost_oracle(rng):
 def test_frequency_branch_rejects_nonpositive_gains(rng):
     x = rng.normal(size=(4, 4, 1))
     with pytest.raises(ValueError):
-        frequency_branch_fwd(x, np.zeros((4, 4, 1)))
+        frequency_branch_fwd(x[None], np.zeros((4, 4, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -132,10 +132,10 @@ def test_frequency_branch_rejects_non_finite_gains(rng, bad):
     gains = np.ones((4, 4, 1))
     gains[1, 2, 0] = bad
     with pytest.raises(ValueError, match="finite and strictly positive"):
-        frequency_branch_fwd(x, gains)
+        frequency_branch_fwd(x[None], gains)
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 5, 2), (8, 8, 32)])
+@pytest.mark.parametrize("shape", [(2, 3, 5, 2), (1, 8, 8, 32)])
 def test_dft_and_idft_match_numpy_fft(rng, shape):
     """Non-square grids pin the Kronecker order of the 2-d DFT matrix."""
     x = rng.normal(size=shape)

@@ -286,7 +286,8 @@ def test_nan_loss_aborts_with_diagnostic(tmp_path):
     params = init_model(cfg, ablation, seed=4)
     params["cnn.align.w"] = params["cnn.align.w"] * np.nan
     tc = TrainConfig(epochs=1, batch_size=4, seed=4)
-    with pytest.raises(trainer.NanLossError):
+    with pytest.raises(trainer.NanLossError), \
+            pytest.warns(RuntimeWarning, match="invalid value encountered in logaddexp"):
         trainer.train(params, cfg, ablation, records, images, tc, out_dir=tmp_path)
     assert (tmp_path / "nan_dump.json").exists()
 

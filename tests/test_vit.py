@@ -16,7 +16,7 @@ def test_patch_embed_toy_token_count(rng):
     cfg = toy_cfg()
     params = draw(vit.vit_spec(cfg), rng)
     image = rng.random((64, 64, 3))
-    tokens, _ = vit.patch_embed_fwd(image, params, cfg)
+    (tokens,), _ = vit.patch_embed_fwd(image[None], params, cfg)
     assert tokens.shape == (65, 64)  # 8^2 patches + class token
 
 
@@ -25,7 +25,7 @@ def test_patch_embed_paper_shape(rng):
     cfg = ModelConfig.paper()
     assert cfg.grid == 16
     params = draw([e for e in vit.vit_spec(cfg) if e[0].startswith("vit.patch.")], rng)
-    tokens, _ = vit.patch_embed_fwd(rng.random((224, 224, 3)), params, cfg)
+    (tokens,), _ = vit.patch_embed_fwd(rng.random((224, 224, 3))[None], params, cfg)
     assert tokens.shape == (257, 768)
 
 
@@ -33,7 +33,7 @@ def test_patch_embed_zero_image_gives_positional_embeddings(rng):
     cfg = toy_cfg()
     params = draw(vit.vit_spec(cfg), rng)
     params["vit.patch.proj_w"] = np.zeros_like(params["vit.patch.proj_w"])
-    tokens, _ = vit.patch_embed_fwd(np.zeros((64, 64, 3)), params, cfg)
+    (tokens,), _ = vit.patch_embed_fwd(np.zeros((64, 64, 3))[None], params, cfg)
     np.testing.assert_array_equal(tokens[1:], params["vit.patch.pos"])
     np.testing.assert_array_equal(tokens[0], params["vit.patch.cls"])
 
@@ -42,7 +42,7 @@ def test_patch_embed_size_mismatch(rng):
     cfg = toy_cfg()
     params = draw(vit.vit_spec(cfg), rng)
     with pytest.raises(ops.ShapeError):
-        vit.patch_embed_fwd(rng.random((32, 32, 3)), params, cfg)
+        vit.patch_embed_fwd(rng.random((32, 32, 3))[None], params, cfg)
 
 
 def test_patch_flatten_reshape_roundtrip(rng):
