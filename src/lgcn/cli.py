@@ -9,7 +9,6 @@ config file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -69,7 +68,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--k-negatives", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--dfm-mode", choices=DFM_MODES, default=None)
     freeze = p.add_mutually_exclusive_group()
     freeze.add_argument("--freeze-backbone", dest="freeze", action="store_true", default=None)
@@ -87,7 +85,6 @@ def build_parser() -> _Parser:
     p.add_argument("--oracle-check", action="store_true",
                    help="cross-check against a brute-force recall computation")
     p.add_argument("--dump-descriptors", default=None, help="optional descriptor dump path")
-    p.add_argument("--threads", type=int, default=None)
     _add_ablation_flags(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -128,8 +125,6 @@ def _effective_run_config(args):
     for (section, key), value in flags.items():
         if value is not None:
             data[section][key] = value
-    if args.threads is not None:
-        data["threads"] = args.threads
     return run_config_from_dict(data)
 
 
@@ -143,8 +138,7 @@ def cmd_train(args) -> int:
                           f"{cfg.model.image_size}px")
     params = init_model(cfg.model, cfg.ablation, cfg.train.seed)
     report = train(params, cfg.model, cfg.ablation, records, images, cfg.train,
-                   out_dir=args.out, threads=cfg.threads,
-                   log=lambda row: print(json.dumps(row, sort_keys=True)))
+                   out_dir=args.out, log=lambda row: print(json.dumps(row, sort_keys=True)))
     write_report(report, args.out)
     return 0
 
@@ -213,9 +207,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"bad --n list {args.n!r}")
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise UsageError(f"--threshold must be a finite distance >= 0 m, got {args.threshold}")
-    run = apply_env_overrides(RunConfig())
-    if args.threads is not None:
-        run = dataclasses.replace(run, threads=args.threads)
+    apply_env_overrides(RunConfig())  # a malformed LGCN_ value is a usage error here too
     params, mcfg = _load_model(args.checkpoint)
     params = _ablated(params, args)
     records, images = load_dataset(args.data)
@@ -226,8 +218,8 @@ def cmd_eval(args) -> int:
     q_idx = [i for i, r in enumerate(records) if r.split == "query"]
     db_records = [records[i] for i in db_idx]
     q_records = [records[i] for i in q_idx]
-    db_desc = compute_descriptors(images[db_idx], params, mcfg, threads=run.threads)
-    q_desc = compute_descriptors(images[q_idx], params, mcfg, threads=run.threads)
+    db_desc = compute_descriptors(images[db_idx], params, mcfg)
+    q_desc = compute_descriptors(images[q_idx], params, mcfg)
     k = min(max(ns), len(db_records))
     topk, sims = search(q_desc, db_desc, [r.id for r in db_records], k)
     result = recall_at_n(topk, q_records, db_records, ns, threshold_m=args.threshold)

@@ -161,11 +161,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig.toy)
     train: TrainConfig = field(default_factory=TrainConfig)
     ablation: AblationFlags = field(default_factory=AblationFlags)
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def _defaults(cls) -> dict:
@@ -192,6 +187,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
     The ablation key "static_fusion", written by versions that kept it as a
     switch of its own, is read as disable_dfm: both select concat fusion.
+    The top-level int "threads", written by versions that had an inference
+    thread pool, is accepted and ignored.
     """
     top = _section(data, "config", {"model": {}, "train": {}, "ablation": {}, "threads": 1})
     model = _section(top.get("model", {}), "model config", _defaults(ModelConfig))
@@ -202,8 +199,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if ablation.pop("static_fusion", False):
         ablation["disable_dfm"] = True
     return RunConfig(model=ModelConfig.from_preset(preset, **model),
-                     train=TrainConfig(**train), ablation=AblationFlags(**ablation),
-                     threads=top.get("threads", 1))
+                     train=TrainConfig(**train), ablation=AblationFlags(**ablation))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
@@ -211,7 +207,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
         "model": dataclasses.asdict(cfg.model),
         "train": dataclasses.asdict(cfg.train),
         "ablation": dataclasses.asdict(cfg.ablation),
-        "threads": cfg.threads,
     }
 
 
@@ -239,7 +234,6 @@ _ENV_SCALARS = {
     "EPOCHS": ("train", "epochs", int),
     "BATCH_SIZE": ("train", "batch_size", int),
     "LEARNING_RATE": ("train", "learning_rate", float),
-    "THREADS": (None, "threads", int),
     "DFM_MODE": ("model", "dfm_mode", str),
 }
 
@@ -256,8 +250,5 @@ def apply_env_overrides(cfg: RunConfig, environ: dict | None = None) -> RunConfi
             value = conv(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {ENV_PREFIX + key}: {raw!r}") from exc
-        if section is None:
-            data[name] = value
-        else:
-            data[section][name] = value
+        data[section][name] = value
     return run_config_from_dict(data)

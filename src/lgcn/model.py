@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,21 +144,10 @@ def model_backward(ddesc, tape: ModelTape, params, grads, trainable=None):
     vit.vit_backward(dfvit, tape.c_vit, params, grads, trainable)
 
 
-def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64,
-                        threads: int = 1) -> np.ndarray:
+def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64) -> np.ndarray:
     """Inference descriptors for a stack of images, batched, no cross talk."""
-    n = images.shape[0]
-    chunks = [images[i:i + batch_size] for i in range(0, n, batch_size)]
-
-    def run(chunk):
-        desc, _ = model_forward(chunk, params, cfg, trainable=set())
-        return desc
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(run, chunks))
-    else:
-        outs = [run(c) for c in chunks]
+    outs = [model_forward(images[i:i + batch_size], params, cfg, trainable=set())[0]
+            for i in range(0, images.shape[0], batch_size)]
     return np.concatenate(outs, axis=0) if outs else np.zeros((0, descriptor_dim(params)))
 
 

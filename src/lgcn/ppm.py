@@ -36,11 +36,19 @@ def read_ppm(path) -> np.ndarray:
         fields.append(raw[start:pos])
     if fields[0] != b"P6":
         raise ValueError(f"{path}: not a binary PPM (P6)")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        width, height, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise ValueError(f"{path}: PPM header fields are not integers: "
+                         f"{b' '.join(fields[1:])!r}") from None
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
-    data = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
+    size = width * height * 3
+    if width < 1 or height < 1 or len(raw) - pos < size:
+        raise ValueError(f"{path}: a {width}x{height} PPM needs {size} pixel bytes, "
+                         f"found {max(len(raw) - pos, 0)}")
+    data = np.frombuffer(raw, dtype=np.uint8, count=size, offset=pos)
     return data.reshape(height, width, 3).astype(np.float64) / 255.0
 
 

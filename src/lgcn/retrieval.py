@@ -72,8 +72,12 @@ def load_manifest(path) -> list[ManifestRecord]:
             if len(row) != 6:
                 raise ManifestError(f"{path}: row with {len(row)} fields: {row!r}")
             rid, rpath, lat_s, lon_s, place, split = row
-            lat, lon = float(lat_s), float(lon_s)
-            _check_coords(lat, lon, f"(id {rid})")
+            try:
+                lat, lon = float(lat_s), float(lon_s)
+            except ValueError:
+                raise ManifestError(f"{path}: non-numeric coordinate ({lat_s!r}, {lon_s!r}) "
+                                    f"for id {rid!r}") from None
+            _check_coords(lat, lon, f"for id {rid!r} in {path}")
             if rid in seen:
                 raise ManifestError(f"{path}: duplicate id {rid!r}")
             if split not in ("database", "query"):

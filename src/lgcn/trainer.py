@@ -148,10 +148,10 @@ class TrainReport:
     timings: list[dict] = field(default_factory=list)
 
 
-def _val_recall(params, cfg, db_records, db_images, q_records, q_images, threads=1):
+def _val_recall(params, cfg, db_records, db_images, q_records, q_images):
     """Query->database Recall@N, and the database descriptors it encoded."""
-    db_desc = model_mod.compute_descriptors(db_images, params, cfg, threads=threads)
-    q_desc = model_mod.compute_descriptors(q_images, params, cfg, threads=threads)
+    db_desc = model_mod.compute_descriptors(db_images, params, cfg)
+    q_desc = model_mod.compute_descriptors(q_images, params, cfg)
     k = min(max(RECALL_NS), len(db_records))
     topk, _ = search(q_desc, db_desc, [r.id for r in db_records], k)
     res = recall_at_n(topk, q_records, db_records, RECALL_NS)
@@ -160,7 +160,7 @@ def _val_recall(params, cfg, db_records, db_images, q_records, q_images, threads
 
 def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
           records, images: np.ndarray, train_cfg: TrainConfig,
-          out_dir=None, threads: int = 1, log=None) -> TrainReport:
+          out_dir=None, log=None) -> TrainReport:
     """Fine-tune on the database split; validate query->database recall.
 
     records/images: the full manifest with the image stack in record order.
@@ -178,8 +178,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     report = TrainReport()
     header = {"model": dataclasses.asdict(cfg), "ablation": dataclasses.asdict(ablation)}
 
-    recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
-                                   threads)
+    recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images)
     report.rows.append({"epoch": 0, "loss": None, "triplets": None, "skipped": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
@@ -221,8 +220,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             grads: dict = {}
             model_mod.model_backward(ddesc, tape, params, grads, opt.trainable)
             opt.step(params, grads)
-        recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
-                                       threads)
+        recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
         report.rows.append({"epoch": epoch, "loss": epoch_loss, "triplets": len(triplets),
                             "skipped": mined.skipped,

@@ -311,8 +311,7 @@ def test_criterion_9_determinism(tmp_path):
         assert main(["gen", "--seed", "9", "--places", "6", "--views", "4",
                      "--out", str(world), "--size", "64"]) == 0
         assert main(["train", "--data", str(world), "--out", str(out),
-                     "--seed", "9", "--epochs", "1", "--batch-size", "4",
-                     "--threads", "1"]) == 0
+                     "--seed", "9", "--epochs", "1", "--batch-size", "4"]) == 0
         assert main(["heatmap", "--checkpoint", str(out / "checkpoint-epoch001.ckpt"),
                      "--image", str(world / "images" / "p0000_v0.ppm"),
                      "--out", str(hm)]) == 0

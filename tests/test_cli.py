@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -416,8 +417,7 @@ def test_malformed_config_is_usage_error(tmp_path, world, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--k-negatives", "0"], ["--lr", "-1"], ["--batch-size", "0"], ["--epochs", "-1"],
-    ["--threads", "0"],
-], ids=["k-negatives-0", "lr-minus-1", "batch-size-0", "epochs-minus-1", "threads-0"])
+], ids=["k-negatives-0", "lr-minus-1", "batch-size-0", "epochs-minus-1"])
 def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
     # the same values in the config file are rejected by the config parser
     cfg = write_config(tmp_path)
@@ -473,15 +473,75 @@ def test_non_finite_env_learning_rate_is_usage_error(tmp_path, world, capsys, mo
     assert capsys.readouterr().err.startswith("usage error: learning_rate")
 
 
-@pytest.mark.parametrize("flags,env", [(["--threads", "0"], None), ([], "0"), ([], "-2")],
-                         ids=["flag-0", "env-0", "env-minus-2"])
-def test_eval_threads_below_one_is_usage_error(tmp_path, world, trained, capsys, monkeypatch,
-                                               flags, env):
-    if env is not None:
-        monkeypatch.setenv("LGCN_THREADS", env)
+@pytest.mark.parametrize("command,value", [("train", "1"), ("eval", "2")])
+def test_threads_flag_is_gone(tmp_path, world, trained, capsys, command, value):
+    argv = {"train": ["train", "--out", str(tmp_path / "o")],
+            "eval": ["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
+                     "--out", str(tmp_path / "r.json")]}[command]
+    assert main([*argv, "--data", str(world), "--threads", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_legacy_threads_key_and_env_are_ignored(tmp_path, world, monkeypatch):
+    # config.json files and environments set up for the removed thread pool still run
+    cfg = write_config(tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "threads": 1}))
+    monkeypatch.setenv("LGCN_THREADS", "0")
+    assert main(["train", "--config", str(cfg), "--data", str(world),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert "threads" not in json.loads((tmp_path / "o" / "config.json").read_text())
+
+
+def _break_manifest_coordinate(world):
+    manifest = world / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    row = lines[1].split(",")
+    row[2] = "abc"
+    manifest.write_text(lines[0] + ",".join(row) + "".join(lines[2:]))
+    return manifest, 1
+
+
+def _break_ppm_header(world):
+    image = world / "images" / "p0001_v1.ppm"
+    image.write_bytes(image.read_bytes().replace(b"\n32 32\n", b"\nabc 32\n", 1))
+    return image, 2
+
+
+def _truncate_ppm(world):
+    image = world / "images" / "p0001_v1.ppm"
+    image.write_bytes(image.read_bytes()[:-10])
+    return image, 2
+
+
+def _empty_manifest(world):
+    manifest = world / "manifest.csv"
+    manifest.write_text(manifest.read_text().splitlines(keepends=True)[0])
+    return manifest, 1
+
+
+def _mixed_image_sizes(world):
+    from lgcn.ppm import write_ppm
+    image = world / "images" / "p0001_v1.ppm"
+    write_ppm(image, np.zeros((16, 16, 3)))
+    return image, 2
+
+
+@pytest.mark.parametrize("corrupt", [_break_manifest_coordinate, _break_ppm_header,
+                                     _truncate_ppm, _empty_manifest, _mixed_image_sizes],
+                         ids=["non-numeric-coordinate", "ppm-header", "ppm-truncated",
+                              "empty-manifest", "mixed-sizes"])
+def test_bad_dataset_file_is_named(tmp_path, world, trained, capsys, corrupt):
+    data = tmp_path / "world"
+    shutil.copytree(world, data)
+    path, code = corrupt(data)
     assert main(["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
-                 "--data", str(world), "--out", str(tmp_path / "r.json"), *flags]) == 1
-    assert capsys.readouterr().err == "usage error: threads must be >= 1\n"
+                 "--data", str(data), "--out", str(tmp_path / "r.json")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 1 else "error: ")
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "eval"])

@@ -50,7 +50,7 @@ def test_train_config_validation():
 def test_round_trip_through_dict():
     cfg = RunConfig(model=ModelConfig.toy(dfm_mode="verbatim-eq5"),
                     train=TrainConfig(epochs=3, seed=9),
-                    ablation=AblationFlags(disable_fsa=True), threads=2)
+                    ablation=AblationFlags(disable_fsa=True))
     again = run_config_from_dict(run_config_to_dict(cfg))
     assert again == cfg
 
@@ -85,6 +85,13 @@ def test_legacy_static_fusion_key():
     assert "static_fusion" not in run_config_to_dict(on)["ablation"]
     with pytest.raises(ConfigError, match="static_fusion"):
         run_config_from_dict({"ablation": {"static_fusion": 1}})
+
+
+def test_legacy_threads_key():
+    # config.json files written while inference had a thread pool still load
+    cfg = run_config_from_dict({"threads": 1})
+    assert cfg == RunConfig()
+    assert "threads" not in run_config_to_dict(cfg)
 
 
 @pytest.mark.parametrize("data", [
@@ -126,11 +133,9 @@ def test_int_accepted_for_float_field():
 
 def test_env_overrides():
     cfg = RunConfig()
-    out = apply_env_overrides(cfg, {"LGCN_SEED": "17", "LGCN_EPOCHS": "2",
-                                    "LGCN_THREADS": "3"})
+    out = apply_env_overrides(cfg, {"LGCN_SEED": "17", "LGCN_EPOCHS": "2"})
     assert out.train.seed == 17
     assert out.train.epochs == 2
-    assert out.threads == 3
     assert out.model == cfg.model
 
 

@@ -235,15 +235,6 @@ def test_compute_descriptors_batching_consistent(rng):
     np.testing.assert_allclose(one, many, atol=1e-12)
 
 
-def test_compute_descriptors_threaded_matches(rng):
-    cfg = tiny_cfg()
-    params = init_model(cfg, AblationFlags(), seed=2)
-    images = rng.random((8, 32, 32, 3))
-    st = compute_descriptors(images, params, cfg, batch_size=2, threads=1)
-    mt = compute_descriptors(images, params, cfg, batch_size=2, threads=2)
-    np.testing.assert_array_equal(st, mt)
-
-
 def test_stream_maps_names(rng):
     cfg = tiny_cfg()
     params = init_model(cfg, AblationFlags(), seed=3)

@@ -284,6 +284,23 @@ def test_manifest_rejects_bad_latitude(tmp_path):
         rv.load_manifest(path)
 
 
+@pytest.mark.parametrize("lat,lon", [("abc", "0"), ("0", ""), ("1e", "nan!")])
+def test_manifest_rejects_non_numeric_coordinate(tmp_path, lat, lon):
+    path = tmp_path / "m.csv"
+    path.write_text(f"id,path,lat,lon,place_id,split\nq7,x.ppm,{lat},{lon},,database\n")
+    with pytest.raises(rv.ManifestError, match="non-numeric") as info:
+        rv.load_manifest(path)
+    assert str(path) in str(info.value) and "'q7'" in str(info.value)
+
+
+def test_manifest_out_of_range_names_file_and_id(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,path,lat,lon,place_id,split\nq7,x.ppm,0,181,,database\n")
+    with pytest.raises(rv.ManifestError, match="longitude") as info:
+        rv.load_manifest(path)
+    assert str(path) in str(info.value) and "'q7'" in str(info.value)
+
+
 def test_manifest_rejects_bad_split(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,path,lat,lon,place_id,split\na,x.ppm,0,0,,train\n")
