@@ -36,9 +36,9 @@ def _nudge(x, gap=0.05):
     return np.where(np.abs(x) < gap, sign * (gap + np.abs(x)), x)
 
 
-def _probe(fn_fwd_bwd, params, name, eps, tol, sample=None):
-    return grad_check(fn_fwd_bwd, params, eps=eps, tol=tol, name=name,
-                      max_coords_per_param=sample, rng=np.random.default_rng(99))
+def _probe(fn_fwd_bwd, params, name, sample=None):
+    return grad_check(fn_fwd_bwd, params, name=name, max_coords_per_param=sample,
+                      rng=np.random.default_rng(99))
 
 
 def _as_tuple(grads):
@@ -50,7 +50,7 @@ def _redraw(params, key, gen, scale):
     params[key] = gen.normal(size=params[key].shape) * scale
 
 
-def _op(name, fwd, bwd, inputs, eps, tol, **kw):
+def _op(name, fwd, bwd, inputs, **kw):
     """Check an operator over an ordered dict of inputs.
 
     fwd(*inputs, **kw) -> (y, cache); bwd(dy, cache) returns the inputs'
@@ -62,10 +62,10 @@ def _op(name, fwd, bwd, inputs, eps, tol, **kw):
         y, cache = fwd(*p.values(), **kw)
         return float((w * y).sum()), dict(zip(p, _as_tuple(bwd(w, cache))))
 
-    return _probe(fn, inputs, name, eps, tol)
+    return _probe(fn, inputs, name)
 
 
-def _module(name, fwd, bwd, base, names, inputs, seed, eps, tol, sample=COMPOSITE_COORDS):
+def _module(name, fwd, bwd, base, names, inputs, seed, sample=COMPOSITE_COORDS):
     """Check the parameters `names` of a module, then its ordered inputs.
 
     The checked parameters are merged over the fixed dict `base`.
@@ -81,16 +81,16 @@ def _module(name, fwd, bwd, base, names, inputs, seed, eps, tol, sample=COMPOSIT
         grads.update(zip(inputs, _as_tuple(bwd(w, cache, full, grads))))
         return float((w * y).sum()), grads
 
-    return _probe(fn, {**{k: base[k] for k in names}, **inputs}, name, eps, tol, sample)
+    return _probe(fn, {**{k: base[k] for k in names}, **inputs}, name, sample)
 
 
-def _check_linear(eps, tol):
+def _check_linear():
     r = _rng(1)
     inputs = {"x": r.normal(size=(3, 5)), "w": r.normal(size=(5, 4)), "b": r.normal(size=4)}
-    return _op("ops.linear", ops.linear_fwd, ops.linear_bwd, inputs, eps, tol)
+    return _op("ops.linear", ops.linear_fwd, ops.linear_bwd, inputs)
 
 
-def _check_activations(eps, tol):
+def _check_activations():
     r = _rng(2)
     cases = [
         ("ops.relu", ops.relu_fwd, ops.relu_bwd, _nudge(r.normal(size=(4, 6)))),
@@ -101,53 +101,52 @@ def _check_activations(eps, tol):
         ("ops.l2_normalize", ops.l2_normalize_fwd, ops.l2_normalize_bwd,
          r.normal(size=(3, 5)) + 2.0),
     ]
-    return [_op(name, fwd, bwd, {"x": x}, eps, tol) for name, fwd, bwd, x in cases]
+    return [_op(name, fwd, bwd, {"x": x}) for name, fwd, bwd, x in cases]
 
 
-def _check_layernorm(eps, tol):
+def _check_layernorm():
     r = _rng(4)
     inputs = {"x": r.normal(size=(3, 4, 6)), "g": r.normal(size=6) + 1.0, "b": r.normal(size=6)}
-    return _op("ops.layernorm", ops.layernorm_fwd, ops.layernorm_bwd, inputs, eps, tol)
+    return _op("ops.layernorm", ops.layernorm_fwd, ops.layernorm_bwd, inputs)
 
 
-def _check_conv(eps, tol, stride, name):
+def _check_conv(stride, name):
     r = _rng(5 + stride)
     inputs = {"x": r.normal(size=(2, 6, 6, 3)), "w": r.normal(size=(4, 3, 3, 3)),
               "b": r.normal(size=4)}
-    return _op(name, ops.conv2d_fwd, ops.conv2d_bwd, inputs, eps, tol, stride=stride, padding=1)
+    return _op(name, ops.conv2d_fwd, ops.conv2d_bwd, inputs, stride=stride, padding=1)
 
 
-def _check_depthwise(eps, tol):
+def _check_depthwise():
     r = _rng(7)
     inputs = {"x": r.normal(size=(2, 5, 5, 3)), "k": r.normal(size=(3, 3, 3))}
     return _op("ops.depthwise_conv2d", ops.depthwise_conv2d_fwd, ops.depthwise_conv2d_bwd,
-               inputs, eps, tol, padding=1)
+               inputs, padding=1)
 
 
-def _check_bilinear(eps, tol):
+def _check_bilinear():
     x = _rng(8).normal(size=(2, 5, 5, 2))
     return _op("ops.bilinear_resize", ops.bilinear_resize_fwd, ops.bilinear_resize_bwd,
-               {"x": x}, eps, tol, out_h=8, out_w=7)
+               {"x": x}, out_h=8, out_w=7)
 
 
-def _check_avgpool(eps, tol):
+def _check_avgpool():
     x = _rng(9).normal(size=(2, 4, 4, 3))
-    return _op("ops.avg_pool2d", ops.avg_pool2d_fwd, ops.avg_pool2d_bwd, {"x": x}, eps, tol,
-               factor=2)
+    return _op("ops.avg_pool2d", ops.avg_pool2d_fwd, ops.avg_pool2d_bwd, {"x": x}, factor=2)
 
 
-def _check_attention(eps, tol):
+def _check_attention():
     r = _rng(10)
     inputs = {n: r.normal(size=(2, 4, 3)) for n in ("q", "k", "v")}
-    return _op("ops.attention", ops.attention_fwd, ops.attention_bwd, inputs, eps, tol)
+    return _op("ops.attention", ops.attention_fwd, ops.attention_bwd, inputs)
 
 
-def _check_gem(eps, tol):
+def _check_gem():
     x = _rng(11).normal(size=(2, 4, 4, 3))
-    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, eps, tol, p=3.0)
+    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, p=3.0)
 
 
-def _check_dft(eps, tol):
+def _check_dft():
     r = _rng(12)
     x = r.normal(size=(4, 4, 2))[None]
     wre = probe_weights((4, 4, 2), seed=5)[None]
@@ -159,10 +158,10 @@ def _check_dft(eps, tol):
         dx = spectral.dft2d_bwd(spectral.ComplexGrid(wre, wim), cache)
         return loss, {"x": dx}
 
-    return _probe(fn, {"x": x}, "spectral.dft2d", eps, tol)
+    return _probe(fn, {"x": x}, "spectral.dft2d")
 
 
-def _check_idft(eps, tol):
+def _check_idft():
     r = _rng(13)
     re, im = r.normal(size=(4, 4, 2))[None], r.normal(size=(4, 4, 2))[None]
     w = probe_weights((4, 4, 2), seed=7)[None]
@@ -172,10 +171,10 @@ def _check_idft(eps, tol):
         dgrid = spectral.idft2d_bwd(w, cache)
         return float((w * y).sum()), {"re": dgrid.re, "im": dgrid.im}
 
-    return _probe(fn, {"re": re, "im": im}, "spectral.idft2d", eps, tol)
+    return _probe(fn, {"re": re, "im": im}, "spectral.idft2d")
 
 
-def _check_frequency_branch(eps, tol):
+def _check_frequency_branch():
     r = _rng(15)
     x = r.normal(size=(4, 4, 3))[None]
     gains_log = r.normal(size=(4, 4, 3)) * 0.3
@@ -187,10 +186,10 @@ def _check_frequency_branch(eps, tol):
         dx, dgains = fsa.frequency_branch_bwd(w, cache)
         return float((w * y).sum()), {"x": dx, "gains_log": dgains * gains}
 
-    return _probe(fn, {"x": x, "gains_log": gains_log}, "spectral.frequency_branch", eps, tol)
+    return _probe(fn, {"x": x, "gains_log": gains_log}, "spectral.frequency_branch")
 
 
-def _check_triplet(eps, tol):
+def _check_triplet():
     r = _rng(16)
     a, p_, n = (r.normal(size=(3, 6)) for _ in range(3))
 
@@ -199,10 +198,10 @@ def _check_triplet(eps, tol):
         da, dp, dn = trainer.triplet_loss_bwd(1.0, cache)
         return loss, {"a": da, "p": dp, "n": dn}
 
-    return _probe(fn, {"a": a, "p": p_, "n": n}, "trainer.triplet_loss", eps, tol)
+    return _probe(fn, {"a": a, "p": p_, "n": n}, "trainer.triplet_loss")
 
 
-def _check_patch_embed(eps, tol):
+def _check_patch_embed():
     cfg = micro_cfg()
     r = _rng(17)
     params = draw(vit.vit_spec(cfg), r)
@@ -210,10 +209,10 @@ def _check_patch_embed(eps, tol):
     image = r.random((2, cfg.image_size, cfg.image_size, 3))
     return _module("vit.patch_embed", lambda x, p: vit.patch_embed_fwd(x, p, cfg),
                    lambda dy, c, p, g: vit.patch_embed_bwd(dy, c, g),
-                   params, names, {"image": image}, 9, eps, tol)
+                   params, names, {"image": image}, 9)
 
 
-def _check_vit_block(eps, tol):
+def _check_vit_block():
     cfg = micro_cfg()
     r = _rng(18)
     gen = np.random.default_rng(55)
@@ -224,10 +223,10 @@ def _check_vit_block(eps, tol):
     names = [k for k in params if k.startswith(("vit.block0", "fsa.block0"))]
     return _module("vit.block_with_fsa",
                    lambda x, p: vit.vit_block_fwd(x, p, "vit.block0", cfg, "fsa.block0"),
-                   vit.vit_block_bwd, params, names, {"tokens": tokens}, 10, eps, tol)
+                   vit.vit_block_bwd, params, names, {"tokens": tokens}, 10)
 
 
-def _check_vit_full(eps, tol):
+def _check_vit_full():
     cfg = micro_cfg()
     gen = np.random.default_rng(56)
     params = draw(vit.vit_spec(cfg), gen)
@@ -236,11 +235,10 @@ def _check_vit_full(eps, tol):
         _redraw(params, f"fsa.block{i}.fuse_w", gen, 0.1)
     image = np.random.default_rng(57).random((1, cfg.image_size, cfg.image_size, 3))
     return _module("vit.two_block_with_adapters", lambda x, p: vit.vit_forward(x, p, cfg),
-                   vit.vit_backward, params, list(params), {"image": image}, 11, eps, tol,
-                   sample=8)
+                   vit.vit_backward, params, list(params), {"image": image}, 11, sample=8)
 
 
-def _check_fsa_forward(eps, tol):
+def _check_fsa_forward():
     cfg = micro_cfg()
     gen = np.random.default_rng(58)
     params = draw(fsa.fsa_spec(cfg, "fsa.block0"), gen)
@@ -248,7 +246,7 @@ def _check_fsa_forward(eps, tol):
     _redraw(params, "fsa.block0.gains_log", gen, 0.3)
     tokens = np.random.default_rng(59).normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
     return _module("fsa.forward", lambda x, p: fsa.fsa_forward(x, p, "fsa.block0", cfg),
-                   fsa.fsa_backward, params, list(params), {"tokens": tokens}, 12, eps, tol)
+                   fsa.fsa_backward, params, list(params), {"tokens": tokens}, 12)
 
 
 KINK_MARGIN = 2e-3  # keep central-difference windows clear of ReLU corners
@@ -290,7 +288,7 @@ def _open_kink_margins(params, images, cfg, gate=False, margin=KINK_MARGIN):
         params["dfm.b1"] = params["dfm.b1"] + shifts
 
 
-def _check_cnn(eps, tol):
+def _check_cnn():
     cfg = micro_cfg()
     params = draw(cnn.cnn_spec(cfg), np.random.default_rng(60))
     names = [k for k in params if not k.startswith("cnn.align")]
@@ -298,29 +296,29 @@ def _check_cnn(eps, tol):
     _open_kink_margins(params, image, cfg)
     return _module("cnn.forward", lambda x, p: cnn.cnn_forward(x, p, cfg),
                    lambda dy, c, p, g: cnn.cnn_backward(dy, c, g),
-                   params, names, {"image": image}, 13, eps, tol)
+                   params, names, {"image": image}, 13)
 
 
-def _check_align(eps, tol):
+def _check_align():
     cfg = micro_cfg()
     params = draw(cnn.cnn_spec(cfg), np.random.default_rng(62))
     fres = np.random.default_rng(63).normal(size=(2, cfg.cnn_grid, cfg.cnn_grid, cfg.cnn_channels))
     return _module("cnn.align_upsample", lambda x, p: cnn.align_upsample(x, p, cfg),
                    lambda dy, c, p, g: cnn.align_backward(dy, c, g),
-                   params, ["cnn.align.w", "cnn.align.b"], {"fres": fres}, 14, eps, tol)
+                   params, ["cnn.align.w", "cnn.align.b"], {"fres": fres}, 14)
 
 
-def _check_dfm(eps, tol, mode):
+def _check_dfm(mode):
     cfg = micro_cfg()
     params = draw(dfm.dfm_spec(cfg), np.random.default_rng(64))
     r = np.random.default_rng(65)
     maps = {n: r.normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim)) for n in ("fvit", "fres")}
     return _module(f"dfm.forward_{mode.replace('-', '_')}",
                    lambda fvit, fres, p: dfm.dfm_forward(fvit, fres, p, mode),
-                   dfm.dfm_backward, params, list(params), maps, 15, eps, tol)
+                   dfm.dfm_backward, params, list(params), maps, 15)
 
 
-def _check_head(eps, tol):
+def _check_head():
     cfg = micro_cfg()
     gen = np.random.default_rng(66)
     params = draw(head.head_spec(cfg.embed_dim), gen)
@@ -328,10 +326,10 @@ def _check_head(eps, tol):
     fmap = np.random.default_rng(67).normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim))
     return _module("head.forward", lambda x, p: head.head_forward(x, p, cfg.num_heads, cross=True),
                    lambda dy, c, p, g: head.head_backward(dy, c, g),
-                   params, list(params), {"fmap": fmap}, 16, eps, tol)
+                   params, list(params), {"fmap": fmap}, 16)
 
 
-def _check_end_to_end(eps, tol):
+def _check_end_to_end():
     cfg = micro_cfg()
     params = model_mod.init_model(cfg, AblationFlags(), seed=68)
     for i in range(cfg.depth):
@@ -341,7 +339,7 @@ def _check_end_to_end(eps, tol):
     _open_kink_margins(params, images, cfg, gate=True)
     return _module("model.end_to_end",
                    lambda p: model_mod.model_forward(images, p, cfg, cross=True),
-                   model_mod.model_backward, params, list(params), {}, 17, eps, tol, sample=6)
+                   model_mod.model_backward, params, list(params), {}, 17, sample=6)
 
 
 def build_suite(scope: str = "all"):
@@ -350,8 +348,8 @@ def build_suite(scope: str = "all"):
         ("ops.linear", _check_linear),
         ("ops.activations", _check_activations),
         ("ops.layernorm", _check_layernorm),
-        ("ops.conv2d_stride1", lambda e, t: _check_conv(e, t, 1, "ops.conv2d_stride1")),
-        ("ops.conv2d_stride2", lambda e, t: _check_conv(e, t, 2, "ops.conv2d_stride2")),
+        ("ops.conv2d_stride1", lambda: _check_conv(1, "ops.conv2d_stride1")),
+        ("ops.conv2d_stride2", lambda: _check_conv(2, "ops.conv2d_stride2")),
         ("ops.depthwise_conv2d", _check_depthwise),
         ("ops.bilinear_resize", _check_bilinear),
         ("ops.avg_pool2d", _check_avgpool),
@@ -367,8 +365,8 @@ def build_suite(scope: str = "all"):
         ("fsa.forward", _check_fsa_forward),
         ("cnn.forward", _check_cnn),
         ("cnn.align_upsample", _check_align),
-        ("dfm.forward_paper_text", lambda e, t: _check_dfm(e, t, "paper-text")),
-        ("dfm.forward_verbatim_eq5", lambda e, t: _check_dfm(e, t, "verbatim-eq5")),
+        ("dfm.forward_paper_text", lambda: _check_dfm("paper-text")),
+        ("dfm.forward_verbatim_eq5", lambda: _check_dfm("verbatim-eq5")),
         ("head.forward", _check_head),
         ("model.end_to_end", _check_end_to_end),
     ]
@@ -379,9 +377,9 @@ def build_suite(scope: str = "all"):
     return checks
 
 
-def run_suite(scope: str = "all", eps: float = 1e-4, tol: float = 1e-4) -> list[GradCheckReport]:
+def run_suite(scope: str = "all") -> list[GradCheckReport]:
     reports: list[GradCheckReport] = []
     for _, runner in build_suite(scope):
-        out = runner(eps, tol)
+        out = runner()
         reports.extend(out if isinstance(out, list) else [out])
     return reports

@@ -23,7 +23,6 @@ from .checksuite import run_suite
 from .config import (ConfigError, RunConfig, apply_env_overrides, dump_run_config,
                      load_run_config, run_config_from_dict, run_config_to_dict)
 from .dataset import load_dataset
-from .dfm import DFM_MODES
 from .heatmap import export_heatmaps
 from .model import (DROPPED_GROUPS, compute_descriptors, dropped_groups, fusion_of, init_model,
                     param_spec)
@@ -68,7 +67,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--k-negatives", type=int, default=None)
-    p.add_argument("--dfm-mode", choices=DFM_MODES, default=None)
     freeze = p.add_mutually_exclusive_group()
     freeze.add_argument("--freeze-backbone", dest="freeze", action="store_true", default=None)
     freeze.add_argument("--no-freeze-backbone", dest="freeze", action="store_false")
@@ -90,8 +88,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("scope", nargs="?", default="all",
                    help="all or a module name (ops, spectral, vit, fsa, cnn, dfm, head, model, trainer)")
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--inject-bug", action="store_true",
                    help="negative control: corrupt one backward and expect failure")
 
@@ -119,8 +115,7 @@ def _effective_run_config(args):
     data = run_config_to_dict(apply_env_overrides(load_run_config(args.config)))
     flags = {("train", "seed"): args.seed, ("train", "epochs"): args.epochs,
              ("train", "batch_size"): args.batch_size, ("train", "learning_rate"): args.lr,
-             ("train", "k_negatives"): args.k_negatives,
-             ("train", "freeze_backbone"): args.freeze, ("model", "dfm_mode"): args.dfm_mode,
+             ("train", "k_negatives"): args.k_negatives, ("train", "freeze_backbone"): args.freeze,
              **{("ablation", flag): getattr(args, flag) or None for flag in DROPPED_GROUPS}}
     for (section, key), value in flags.items():
         if value is not None:
@@ -260,7 +255,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     ops.INJECT_GRADIENT_BUG = bool(args.inject_bug)
     try:
-        reports = run_suite(args.scope, eps=args.eps, tol=args.tol)
+        reports = run_suite(args.scope)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     finally:

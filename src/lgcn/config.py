@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .checkpoint import atomic_write
-from .dfm import DFM_MODES
 
 
 class ConfigError(ValueError):
@@ -36,7 +35,6 @@ class ModelConfig:
     align_mid: int = 6           # intermediate side of the upsampler, between cnn_grid and grid
     adapter_ratio: float = 0.5
     adapter_scale_init: float = 0.1
-    dfm_mode: str = "paper-text"  # one of dfm.DFM_MODES
 
     def __post_init__(self):
         for name in ("patch_size", "num_heads", "cnn_grid", "embed_dim", "cnn_channels", "depth"):
@@ -55,8 +53,6 @@ class ModelConfig:
                 f"align_mid {self.align_mid} must lie between cnn_grid {self.cnn_grid} "
                 f"and grid {self.grid}"
             )
-        if self.dfm_mode not in DFM_MODES:
-            raise ConfigError(f"unknown dfm_mode {self.dfm_mode!r}")
         stage_out = self.image_size // 8  # three stride-2 stages
         if stage_out % self.cnn_grid != 0:
             raise ConfigError(
@@ -188,10 +184,15 @@ def run_config_from_dict(data: dict) -> RunConfig:
     The ablation key "static_fusion", written by versions that kept it as a
     switch of its own, is read as disable_dfm: both select concat fusion.
     The top-level int "threads", written by versions that had an inference
-    thread pool, is accepted and ignored.
+    thread pool, is accepted and ignored, and so is the model key "dfm_mode"
+    when it holds "paper-text", the one fusion rule the model runs.
     """
     top = _section(data, "config", {"model": {}, "train": {}, "ablation": {}, "threads": 1})
-    model = _section(top.get("model", {}), "model config", _defaults(ModelConfig))
+    model = _section(top.get("model", {}), "model config",
+                     {**_defaults(ModelConfig), "dfm_mode": "paper-text"})
+    dfm_mode = model.pop("dfm_mode", "paper-text")
+    if dfm_mode != "paper-text":
+        raise ConfigError(f"unsupported model key dfm_mode={dfm_mode!r}, not 'paper-text'")
     preset = model.pop("preset", "toy")
     train = _section(top.get("train", {}), "train config", _defaults(TrainConfig))
     ablation = _section(top.get("ablation", {}), "ablation config",
@@ -234,7 +235,6 @@ _ENV_SCALARS = {
     "EPOCHS": ("train", "epochs", int),
     "BATCH_SIZE": ("train", "batch_size", int),
     "LEARNING_RATE": ("train", "learning_rate", float),
-    "DFM_MODE": ("model", "dfm_mode", str),
 }
 
 

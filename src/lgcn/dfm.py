@@ -2,11 +2,11 @@
 
 The gate is a per-position bottleneck: a 1x1 projection down to a quarter of
 the channels, ReLU, a 1x1 projection back up, and a sigmoid, giving weights
-omega in (0, 1). The default "paper-text" mode routes omega to the
-transformer stream and (1 - omega) to the CNN stream, with learnable scalars
-alpha1/alpha2 balancing the two terms. The "verbatim-eq5" mode applies both
-masks to the transformer stream; with equal alphas it collapses to an
-identity on that stream, which is kept as a documented degenerate variant.
+omega in (0, 1). The "paper-text" mode, the one the model runs, routes
+omega to the transformer stream and (1 - omega) to the CNN stream, with
+learnable scalars alpha1/alpha2 balancing the two terms. The documented
+degenerate "verbatim-eq5" mode, reachable only through dfm_forward(mode=),
+applies both masks to the transformer stream: with equal alphas it is an identity.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
 class ModelTape:
     """Forward caches plus the intermediate maps the diagnostics read.
 
-    trainable is the set the caches were kept for (None: every cache).
+    trainable is the set the caches were kept for and model_backward runs under.
     """
 
     trainable: set | None
@@ -102,7 +102,7 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
         fres_raw, c_cnn = cnn.cnn_forward(images, params, cfg, keep)
         fres, c_align = cnn.align_upsample(fres_raw, params, cfg)
         if fusion == "dfm":
-            fused, c_dfm = dfm.dfm_forward(fvit, fres, params, cfg.dfm_mode)
+            fused, c_dfm = dfm.dfm_forward(fvit, fres, params)
             omega = c_dfm[2]
         elif fusion == "concat":
             fused = np.concatenate([fvit, fres], axis=-1)
@@ -116,18 +116,16 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
     return desc, tape
 
 
-def model_backward(ddesc, tape: ModelTape, params, grads, trainable=None):
+def model_backward(ddesc, tape: ModelTape, params, grads):
     """Backpropagate descriptor gradients into the grads dict.
 
-    trainable=None computes every parameter's gradient and both streams'
-    image gradients (the gradcheck path). Given the set of trainable names,
-    frozen vit.* weights get no gradient and neither stream computes an image
-    gradient (vit.vit_backward, cnn.cnn_backward); the gradients it does
-    compute are bitwise those of the full path. The tape must come from
-    model_forward with trainable=None or with this same set.
+    The backward runs under the set the tape was kept for (tape.trainable).
+    None computes every parameter's gradient and both streams' image
+    gradients (the gradcheck path). Given a set of names, frozen vit.*
+    weights get no gradient and neither stream computes an image gradient
+    (vit.vit_backward, cnn.cnn_backward); the gradients it does compute are
+    bitwise those of the full path.
     """
-    if tape.trainable is not None and tape.trainable != trainable:
-        raise ValueError("model_backward: the tape was kept for another trainable set")
     dfused = head.head_backward(ddesc, tape.c_head, grads)
     if tape.fusion == "vit-only":
         dfvit, dfres = dfused, None
@@ -140,8 +138,8 @@ def model_backward(ddesc, tape: ModelTape, params, grads, trainable=None):
         dfvit, dfres = dfused, dfused
     if dfres is not None:
         dfres_raw = cnn.align_backward(dfres, tape.c_align, grads)
-        cnn.cnn_backward(dfres_raw, tape.c_cnn, grads, image_grad=trainable is None)
-    vit.vit_backward(dfvit, tape.c_vit, params, grads, trainable)
+        cnn.cnn_backward(dfres_raw, tape.c_cnn, grads, image_grad=tape.trainable is None)
+    vit.vit_backward(dfvit, tape.c_vit, params, grads, tape.trainable)
 
 
 def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64) -> np.ndarray:

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 EARTH_RADIUS_M = 6_371_000.0
 MANIFEST_HEADER = ["id", "path", "lat", "lon", "place_id", "split"]
 DEFAULT_MATCH_THRESHOLD_M = 25.0
@@ -58,37 +60,47 @@ def geodistance_matrix(lats_a, lons_a, lats_b, lons_b) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
+def _manifest_rows(path):
+    """A manifest's CSV rows, read as they are parsed; bad text is a ManifestError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except UnicodeDecodeError as exc:  # decoded in blocks, so the line is not known
+            raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise ManifestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_manifest(path) -> list[ManifestRecord]:
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ManifestError(f"{path}: expected header {','.join(MANIFEST_HEADER)!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ManifestError(f"{path}: row with {len(row)} fields: {row!r}")
-            rid, rpath, lat_s, lon_s, place, split = row
-            try:
-                lat, lon = float(lat_s), float(lon_s)
-            except ValueError:
-                raise ManifestError(f"{path}: non-numeric coordinate ({lat_s!r}, {lon_s!r}) "
-                                    f"for id {rid!r}") from None
-            _check_coords(lat, lon, f"for id {rid!r} in {path}")
-            if rid in seen:
-                raise ManifestError(f"{path}: duplicate id {rid!r}")
-            if split not in ("database", "query"):
-                raise ManifestError(f"{path}: bad split {split!r} for id {rid!r}")
-            seen.add(rid)
-            records.append(ManifestRecord(rid, rpath, lat, lon, place or None, split))
+    rows = _manifest_rows(path)
+    if next(rows, None) != MANIFEST_HEADER:
+        raise ManifestError(f"{path}: expected header {','.join(MANIFEST_HEADER)!r}")
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ManifestError(f"{path}: row with {len(row)} fields: {row!r}")
+        rid, rpath, lat_s, lon_s, place, split = row
+        try:
+            lat, lon = float(lat_s), float(lon_s)
+        except ValueError:
+            raise ManifestError(f"{path}: non-numeric coordinate ({lat_s!r}, {lon_s!r}) "
+                                f"for id {rid!r}") from None
+        _check_coords(lat, lon, f"for id {rid!r} in {path}")
+        if rid in seen:
+            raise ManifestError(f"{path}: duplicate id {rid!r}")
+        if split not in ("database", "query"):
+            raise ManifestError(f"{path}: bad split {split!r} for id {rid!r}")
+        seen.add(rid)
+        records.append(ManifestRecord(rid, rpath, lat, lon, place or None, split))
     return records
 
 
 def save_manifest(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_HEADER)
         for r in records:

@@ -4,7 +4,7 @@ Mining runs once per epoch against the database descriptors the previous
 validation encoded with the current parameters. Each anchor takes its
 most-similar valid positive (easiest) and its k most similar valid
 negatives (hardest); duplicate unordered anchor/positive pairs are dropped.
-Training is deterministic for a fixed seed when run single-threaded.
+Training is byte-deterministic for a fixed seed and a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             np.add.at(ddesc, nb + ka, dp)
             ddesc[2 * nb:] += dn
             grads: dict = {}
-            model_mod.model_backward(ddesc, tape, params, grads, opt.trainable)
+            model_mod.model_backward(ddesc, tape, params, grads)
             opt.step(params, grads)
         recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images)
         epoch_loss = float(np.mean(losses)) if losses else 0.0

@@ -163,24 +163,22 @@ def vit_block_fwd(x, params, prefix, cfg, adapter_prefix=None, keep="all"):
     return y, (c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix)
 
 
-def vit_block_bwd(dy, cache, params, grads, trainable=None, input_grad=True):
-    """Input gradient of a block; None when input_grad is False.
+def vit_block_bwd(dy, cache, params, grads, trainable=None):
+    """Input gradient of a block; None for an adapter-only cache.
 
     A vit.* weight outside trainable (None: every name) gets no gradient.
-    Without input_grad and with all of the block's vit.* weights frozen,
-    only the adapter's backward runs.
+    A cache kept with keep="adapter" runs only the adapter's backward.
     """
     c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix = cache
     dadapter = fsa.fsa_backward(dy, c_fsa, params, grads) if c_fsa is not None else None
-    if not (input_grad or wants_group(trainable, f"{prefix}.")):
+    if c_ffn is None:
         return None
     dh2 = ffn_bwd(dy, c_ffn, grads, trainable)
     if dadapter is not None:
         dh2 = dh2 + dadapter
     dx2 = _layernorm_bwd(dh2, c_ln2, grads, f"{prefix}.ln2", trainable) + dy
     dh1 = mhsa_bwd(dx2, c_att, grads, trainable)
-    dx = _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", trainable) + dx2
-    return dx if input_grad else None
+    return _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", trainable) + dx2
 
 
 def first_trained_block(trainable, depth) -> int:
@@ -228,18 +226,16 @@ def vit_forward(images, params, cfg, trainable=None):
 def vit_backward(dfmap, cache, params, grads, trainable=None):
     """Backpropagate the map gradient into grads; returns the image gradient.
 
-    trainable=None computes every gradient, the images' included. Given a set
-    of names, a vit.* weight outside it gets no gradient, the pass stops at
-    first_trained_block, and an empty array stands in for the image gradient.
-    The adapters of the blocks it runs always get gradients.
+    It runs the blocks and the patch embed whose caches vit_forward kept.
+    trainable=None computes every gradient, the images' included. Given a
+    set, a vit.* weight outside it gets no gradient, and an empty array
+    stands in for the image gradient. Adapters it reaches always get theirs.
     """
     c_embed, block_caches, (B, g, d) = cache
     dtokens = np.zeros((B, 1 + g * g, d), dtype=dfmap.dtype)
     dtokens[:, 1:, :] = dfmap.reshape(B, g * g, d)
-    cut = first_trained_block(trainable, len(block_caches))
-    patch = wants_group(trainable, "vit.patch.")
-    for i in reversed(range(cut, len(block_caches))):
-        # a block's input gradient feeds what trains below it
-        dtokens = vit_block_bwd(dtokens, block_caches[i], params, grads, trainable,
-                                input_grad=i > cut or patch)
-    return patch_embed_bwd(dtokens, c_embed, grads, trainable) if patch else np.empty(0)
+    for c_blk in reversed(block_caches):
+        if c_blk is None:  # below first_trained_block: nothing trains there
+            break
+        dtokens = vit_block_bwd(dtokens, c_blk, params, grads, trainable)
+    return np.empty(0) if c_embed is None else patch_embed_bwd(dtokens, c_embed, grads, trainable)

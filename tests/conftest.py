@@ -13,7 +13,7 @@ def rng():
 
 @pytest.fixture(scope="session")
 def gradcheck_suite():
-    """One run of the whole gradient suite at the default eps and tol: (reports, seconds)."""
+    """One run of the whole gradient suite at grad_check's eps and tol: (reports, seconds)."""
     t0 = time.monotonic()
-    reports = run_suite("all", eps=1e-4, tol=1e-4)
+    reports = run_suite("all")
     return reports, time.monotonic() - t0

@@ -494,6 +494,57 @@ def test_legacy_threads_key_and_env_are_ignored(tmp_path, world, monkeypatch):
     assert "threads" not in json.loads((tmp_path / "o" / "config.json").read_text())
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--dfm-mode", "paper-text"], ["gradcheck", "--eps", "1e-4"],
+    ["gradcheck", "--tol", "1e-4"],
+], ids=["train-dfm-mode", "gradcheck-eps", "gradcheck-tol"])
+def test_removed_options_are_usage_errors(tmp_path, world, capsys, argv):
+    if argv[0] == "train":
+        argv = [*argv, "--data", str(world), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode", ["paper-text", "verbatim-eq5"])
+def test_legacy_dfm_mode_header(tmp_path, world, trained, capsys, mode):
+    # every header written while the fusion rule was a setting holds dfm_mode
+    legacy = _with_header(tmp_path, trained, lambda h: h["model"].update(dfm_mode=mode))
+    if mode != "paper-text":
+        code, err = _eval_exit(tmp_path, world, legacy, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "dfm_mode='verbatim-eq5'" in err
+        assert "Traceback" not in err and not (tmp_path / "r.json").exists()
+        return
+    reports = []
+    for ckpt in (trained / "checkpoint-epoch001.ckpt", legacy):
+        out = tmp_path / f"{len(reports)}.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["descriptor_sha256"] == reports[1]["descriptor_sha256"]
+
+
+@pytest.mark.parametrize("mode", ["paper-text", "verbatim-eq5"])
+def test_legacy_dfm_mode_config(tmp_path, world, trained, capsys, monkeypatch, mode):
+    # every config.json written while the fusion rule was a setting holds dfm_mode
+    cfg = write_config(tmp_path, **{"model.dfm_mode": mode})
+    monkeypatch.setenv("LGCN_DFM_MODE", "verbatim-eq5")  # ignored like any unknown name
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out)])
+    if mode != "paper-text":
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "dfm_mode='verbatim-eq5'" in err
+        assert "Traceback" not in err and not out.exists()
+        return
+    assert code == 0
+    assert "dfm_mode" not in json.loads((out / "config.json").read_text())["model"]
+    ckpt = "checkpoint-epoch001.ckpt"
+    assert sha(out / ckpt) == sha(trained / ckpt)
+
+
 def _break_manifest_coordinate(world):
     manifest = world / "manifest.csv"
     lines = manifest.read_text().splitlines(keepends=True)
@@ -528,10 +579,29 @@ def _mixed_image_sizes(world):
     return image, 2
 
 
+def _non_utf8_manifest(world):
+    manifest = world / "manifest.csv"
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    manifest.write_bytes(b"".join(lines[:2]) + lines[2].replace(b".ppm", b"\xff.ppm", 1)
+                         + b"".join(lines[3:]))
+    return manifest, 1
+
+
+def _oversized_manifest_field(world):
+    # csv refuses a field above 131,072 characters
+    manifest = world / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text(lines[0] + lines[1].replace(".ppm", "x" * 200_000 + ".ppm", 1)
+                        + "".join(lines[2:]))
+    return manifest, 1
+
+
 @pytest.mark.parametrize("corrupt", [_break_manifest_coordinate, _break_ppm_header,
-                                     _truncate_ppm, _empty_manifest, _mixed_image_sizes],
+                                     _truncate_ppm, _empty_manifest, _mixed_image_sizes,
+                                     _non_utf8_manifest, _oversized_manifest_field],
                          ids=["non-numeric-coordinate", "ppm-header", "ppm-truncated",
-                              "empty-manifest", "mixed-sizes"])
+                              "empty-manifest", "mixed-sizes", "manifest-not-utf8",
+                              "manifest-field-too-large"])
 def test_bad_dataset_file_is_named(tmp_path, world, trained, capsys, corrupt):
     data = tmp_path / "world"
     shutil.copytree(world, data)

@@ -34,8 +34,8 @@ def test_invalid_dimensions_rejected():
         ModelConfig(image_size=60, patch_size=8)
     with pytest.raises(ConfigError):
         ModelConfig(embed_dim=30, num_heads=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(dfm_mode="bogus")
+    with pytest.raises(ConfigError, match="dfm_mode='bogus'"):
+        run_config_from_dict({"model": {"dfm_mode": "bogus"}})
 
 
 def test_train_config_validation():
@@ -48,7 +48,7 @@ def test_train_config_validation():
 
 
 def test_round_trip_through_dict():
-    cfg = RunConfig(model=ModelConfig.toy(dfm_mode="verbatim-eq5"),
+    cfg = RunConfig(model=ModelConfig.toy(),
                     train=TrainConfig(epochs=3, seed=9),
                     ablation=AblationFlags(disable_fsa=True))
     again = run_config_from_dict(run_config_to_dict(cfg))
@@ -92,6 +92,21 @@ def test_legacy_threads_key():
     cfg = run_config_from_dict({"threads": 1})
     assert cfg == RunConfig()
     assert "threads" not in run_config_to_dict(cfg)
+
+
+def test_legacy_dfm_mode_key():
+    # every header and config.json written while the fusion rule was a setting holds one
+    cfg = run_config_from_dict({"model": {"preset": "toy", "dfm_mode": "paper-text"}})
+    assert cfg == RunConfig()
+    assert "dfm_mode" not in run_config_to_dict(cfg)["model"]
+    with pytest.raises(ConfigError, match="dfm_mode='verbatim-eq5'"):
+        run_config_from_dict({"model": {"dfm_mode": "verbatim-eq5"}})
+    with pytest.raises(ConfigError, match="dfm_mode"):
+        run_config_from_dict({"model": {"dfm_mode": None}})
+
+
+def test_dfm_mode_env_is_ignored():
+    assert apply_env_overrides(RunConfig(), {"LGCN_DFM_MODE": "verbatim-eq5"}) == RunConfig()
 
 
 @pytest.mark.parametrize("data", [

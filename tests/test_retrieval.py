@@ -313,3 +313,36 @@ def test_manifest_rejects_wrong_header(tmp_path):
     path.write_text("id,file,lat,lon,place,split\n")
     with pytest.raises(rv.ManifestError, match="header"):
         rv.load_manifest(path)
+
+
+def test_manifest_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "manifest.csv"
+    rv.save_manifest([make_record("a", 0.0, 0.0), make_record("b", 1.0, 1.0)], path)
+    before = path.read_bytes()
+
+    def failing():
+        yield make_record("c", 2.0, 2.0)
+        raise RuntimeError("renderer died")
+
+    with pytest.raises(RuntimeError, match="renderer died"):
+        rv.save_manifest(failing(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
+
+
+def test_manifest_not_utf8_names_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"id,path,lat,lon,place_id,split\na,x.ppm,0,0,,database\n"
+                     b"b,\xff.ppm,0,0,,database\n")
+    with pytest.raises(rv.ManifestError, match="not UTF-8 text") as info:
+        rv.load_manifest(path)
+    assert str(path) in str(info.value)
+
+
+def test_manifest_oversized_field_names_file_and_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,path,lat,lon,place_id,split\na,x.ppm,0,0,,database\n"
+                    f"b,{'x' * 200_000}.ppm,0,0,,database\n")
+    with pytest.raises(rv.ManifestError, match="line 3: field larger than field limit") as info:
+        rv.load_manifest(path)
+    assert str(path) in str(info.value)
