@@ -329,17 +329,16 @@ def _check_head():
                    params, list(params), {"fmap": fmap}, 16)
 
 
-def _check_end_to_end():
+def _check_end_to_end(name, batch, sample):
     cfg = micro_cfg()
     params = model_mod.init_model(cfg, AblationFlags(), seed=68)
     for i in range(cfg.depth):
         _redraw(params, f"fsa.block{i}.fuse_w", np.random.default_rng(70 + i), 0.1)
     _redraw(params, "head.attn.wo", np.random.default_rng(80), 0.2)
-    images = np.random.default_rng(69).random((2, cfg.image_size, cfg.image_size, 3))
+    images = np.random.default_rng(69).random((batch, cfg.image_size, cfg.image_size, 3))
     _open_kink_margins(params, images, cfg, gate=True)
-    return _module("model.end_to_end",
-                   lambda p: model_mod.model_forward(images, p, cfg, cross=True),
-                   model_mod.model_backward, params, list(params), {}, 17, sample=6)
+    return _module(name, lambda p: model_mod.model_forward(images, p, cfg, cross=True),
+                   model_mod.model_backward, params, list(params), {}, 17, sample=sample)
 
 
 def build_suite(scope: str = "all"):
@@ -368,7 +367,10 @@ def build_suite(scope: str = "all"):
         ("dfm.forward_paper_text", lambda: _check_dfm("paper-text")),
         ("dfm.forward_verbatim_eq5", lambda: _check_dfm("verbatim-eq5")),
         ("head.forward", _check_head),
-        ("model.end_to_end", _check_end_to_end),
+        ("model.end_to_end", lambda: _check_end_to_end("model.end_to_end", 2, 6)),
+        # Two sub-batches: audits the split backward and its in-order gradient sum.
+        ("model.split_batch",
+         lambda: _check_end_to_end("model.split_batch", model_mod.SUB_BATCH + 1, 2)),
     ]
     if scope != "all":
         checks = [(n, f) for n, f in checks if n.split(".")[0] == scope]

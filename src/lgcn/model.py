@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cnn, dfm, fsa, head, vit
 from .config import AblationFlags, ModelConfig
-from .params import draw
+from .params import acc_grad, draw
 
 
 def fusion_of(params) -> str:
@@ -61,18 +64,37 @@ def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
     return draw(param_spec(cfg, ablation), np.random.default_rng(seed))
 
 
+# Images per stream pass. Each image's work ends at `fused`, so sub-batches run
+# on the pool and only the head sees the whole batch. A constant, so neither
+# the pool's size nor the host moves a byte.
+SUB_BATCH = 8
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _map(fn, items) -> list:
+    """[fn(x) for x in items], on the shared pool when there is more than one."""
+    global _POOL
+    if len(items) == 1:
+        return [fn(items[0])]
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+    return list(_POOL.map(fn, items))
+
+
 @dataclass
 class ModelTape:
     """Forward caches plus the intermediate maps the diagnostics read.
 
     trainable is the set the caches were kept for and model_backward runs under.
+    streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch; the maps
+    are whole-batch arrays.
     """
 
     trainable: set | None
-    c_vit: object
-    c_cnn: object
-    c_align: object
-    c_dfm: object
+    streams: list
     c_head: object
     fusion: str
     fvit: np.ndarray
@@ -81,18 +103,8 @@ class ModelTape:
     fused: np.ndarray
 
 
-def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainable=None):
-    """images (B, S, S, 3) -> unit descriptors (B, D_out) plus the tape.
-
-    The variant is the parameter groups present (fusion_of). cross=True turns
-    on cross-image attention in the head (training mode); inference keeps
-    images independent. The tape keeps only the caches model_backward reads
-    under the same trainable: None keeps all of them (the gradcheck path), a
-    set none of the frozen ViT prefix's (vit.first_trained_block), and an
-    empty set none at all. fvit, fres, omega and fused are always kept.
-    """
-    fusion = fusion_of(params)
-    keep = trainable is None or bool(trainable)
+def _streams_forward(images, params, cfg: ModelConfig, fusion: str, trainable, keep: bool):
+    """One sub-batch through both streams: (caches, fvit, fres, omega, fused)."""
     fvit, c_vit = vit.vit_forward(images, params, cfg, trainable)
     c_cnn = c_align = c_dfm = None
     fres = omega = None
@@ -108,12 +120,58 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
             fused = np.concatenate([fvit, fres], axis=-1)
         else:  # sum: the DFM group dropped at eval time
             fused = fvit + fres
-    desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
     if not keep:
-        c_align = c_dfm = c_head = None
-    tape = ModelTape(trainable, c_vit, c_cnn, c_align, c_dfm, c_head, fusion, fvit, fres, omega,
-                     fused)
+        c_align = c_dfm = None
+    return (c_vit, c_cnn, c_align, c_dfm), fvit, fres, omega, fused
+
+
+def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainable=None):
+    """images (B, S, S, 3) -> unit descriptors (B, D_out) plus the tape.
+
+    The variant is the parameter groups present (fusion_of). The streams run
+    in SUB_BATCH-image sub-batches, then the head on the whole batch.
+    cross=True turns on cross-image attention in the head (training mode);
+    inference keeps images independent. The tape keeps only the caches
+    model_backward reads under the same trainable: None keeps all of them
+    (the gradcheck path), a set none of the frozen ViT prefix's
+    (vit.first_trained_block), and an empty set none at all. fvit, fres,
+    omega and fused are always kept.
+    """
+    fusion = fusion_of(params)
+    keep = trainable is None or bool(trainable)
+    # An empty batch is one empty sub-batch.
+    subs = [images[i:i + SUB_BATCH] for i in range(0, max(images.shape[0], 1), SUB_BATCH)]
+    outs = _map(lambda x: _streams_forward(x, params, cfg, fusion, trainable, keep), subs)
+
+    def whole(k):
+        parts = [o[k] for o in outs]
+        return parts[0] if len(parts) == 1 or parts[0] is None else np.concatenate(parts)
+
+    fvit, fres, omega, fused = (whole(k) for k in range(1, 5))
+    desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
+    tape = ModelTape(trainable, [o[0] for o in outs], c_head if keep else None, fusion,
+                     fvit, fres, omega, fused)
     return desc, tape
+
+
+def _streams_backward(dfused, caches, fusion: str, params, trainable) -> dict:
+    """One sub-batch's parameter gradients, in a dict of its own."""
+    c_vit, c_cnn, c_align, c_dfm = caches
+    grads: dict = {}
+    if fusion == "vit-only":
+        dfvit, dfres = dfused, None
+    elif fusion == "dfm":
+        dfvit, dfres = dfm.dfm_backward(dfused, c_dfm, params, grads)
+    elif fusion == "concat":
+        d = dfused.shape[-1] // 2
+        dfvit, dfres = dfused[..., :d], dfused[..., d:]
+    else:
+        dfvit, dfres = dfused, dfused
+    if dfres is not None:
+        dfres_raw = cnn.align_backward(dfres, c_align, grads)
+        cnn.cnn_backward(dfres_raw, c_cnn, grads, image_grad=trainable is None)
+    vit.vit_backward(dfvit, c_vit, params, grads, trainable)
+    return grads
 
 
 def model_backward(ddesc, tape: ModelTape, params, grads):
@@ -124,22 +182,16 @@ def model_backward(ddesc, tape: ModelTape, params, grads):
     gradients (the gradcheck path). Given a set of names, frozen vit.*
     weights get no gradient and neither stream computes an image gradient
     (vit.vit_backward, cnn.cnn_backward); the gradients it does compute are
-    bitwise those of the full path.
+    bitwise those of the full path. The head runs once; the sub-batches run
+    on the pool and their gradients are added in sub-batch order.
     """
     dfused = head.head_backward(ddesc, tape.c_head, grads)
-    if tape.fusion == "vit-only":
-        dfvit, dfres = dfused, None
-    elif tape.fusion == "dfm":
-        dfvit, dfres = dfm.dfm_backward(dfused, tape.c_dfm, params, grads)
-    elif tape.fusion == "concat":
-        d = tape.fvit.shape[-1]
-        dfvit, dfres = dfused[..., :d], dfused[..., d:]
-    else:
-        dfvit, dfres = dfused, dfused
-    if dfres is not None:
-        dfres_raw = cnn.align_backward(dfres, tape.c_align, grads)
-        cnn.cnn_backward(dfres_raw, tape.c_cnn, grads, image_grad=tape.trainable is None)
-    vit.vit_backward(dfvit, tape.c_vit, params, grads, tape.trainable)
+    parts = _map(lambda i: _streams_backward(dfused[i * SUB_BATCH:(i + 1) * SUB_BATCH],
+                                             tape.streams[i], tape.fusion, params, tape.trainable),
+                 range(len(tape.streams)))
+    for part in parts:
+        for name, g in part.items():
+            acc_grad(grads, name, g)
 
 
 def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64) -> np.ndarray:

@@ -4,7 +4,7 @@ Mining runs once per epoch against the database descriptors the previous
 validation encoded with the current parameters. Each anchor takes its
 most-similar valid positive (easiest) and its k most similar valid
 negatives (hardest); duplicate unordered anchor/positive pairs are dropped.
-Training is byte-deterministic for a fixed seed and a fixed BLAS thread count.
+Training is byte-deterministic for a fixed seed, whatever the host (README "Determinism").
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -120,6 +121,36 @@ def test_train_determinism_byte_identical(tmp_path, world):
         outs.append(out)
     assert sha(outs[0] / "checkpoint-epoch001.ckpt") == sha(outs[1] / "checkpoint-epoch001.ckpt")
     assert sha(outs[0] / "report.jsonl") == sha(outs[1] / "report.jsonl")
+
+
+# A child restricted to one CPU by itself, so the test process keeps its own.
+ONE_CPU = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "from lgcn.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_outputs_do_not_depend_on_blas_threads_or_cpus(tmp_path):
+    world = tmp_path / "world"
+    assert main(["gen", "--seed", "5", "--places", "6", "--views", "3",
+                 "--out", str(world)]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 1, "batch_size": 4, "seed": 0}}))
+    ways = {"blas-1": ({"OPENBLAS_NUM_THREADS": "1"}, ["-m", "lgcn"]),
+            "blas-2": ({"OPENBLAS_NUM_THREADS": "2"}, ["-m", "lgcn"]),
+            "one-cpu": ({}, ["-c", ONE_CPU])}
+    digests = {}
+    for way, (env, launch) in ways.items():
+        out = tmp_path / way
+        for args in (["train", "--config", str(cfg), "--data", str(world), "--out", str(out)],
+                     ["eval", "--checkpoint", str(out / "checkpoint-epoch001.ckpt"),
+                      "--data", str(world), "--out", str(out / "eval.json"),
+                      "--dump-descriptors", str(out / "desc.bin")]):
+            proc = subprocess.run([sys.executable, *launch, *args], capture_output=True,
+                                  text=True, env={**os.environ, **env})
+            assert proc.returncode == 0, proc.stderr
+        digests[way] = [sha(out / name) for name in
+                        ("checkpoint-epoch001.ckpt", "report.jsonl", "desc.bin")]
+    assert digests["blas-2"] == digests["blas-1"]
+    assert digests["one-cpu"] == digests["blas-1"]
 
 
 def test_train_freeze_backbone_checksums(trained):

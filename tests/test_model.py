@@ -1,14 +1,18 @@
 """Assembled-model tests: fusion variants, descriptor batching, heatmaps."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from lgcn import model as model_mod, ops, spectral
 from lgcn.checkpoint import group_sha256
 from lgcn.config import AblationFlags, ModelConfig
 from lgcn.heatmap import export_heatmaps, response_scalar
-from lgcn.model import (compute_descriptors, descriptor_dim, fusion_of, init_model,
+from lgcn.model import (SUB_BATCH, compute_descriptors, descriptor_dim, fusion_of, init_model,
                         model_backward, model_forward, param_spec, stream_maps)
 from lgcn.params import trainable_names
 from lgcn.ppm import read_ppm
@@ -47,7 +51,7 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
     for name in params:  # zero-initialised projections would hide most paths
         if name.endswith((".fuse_w", "head.attn.wo")):
             params[name] = rng.normal(size=params[name].shape) * 0.1
-    images = rng.random((5, 32, 32, 3))
+    images = rng.random((9, 32, 32, 3))  # two sub-batches
     desc, tape = model_forward(images, params, cfg, cross=True)
     ddesc = rng.normal(size=desc.shape)
     full: dict = {}
@@ -57,10 +61,10 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
     limited_desc, limited_tape = model_forward(images, params, cfg, cross=True,
                                                trainable=trainable)
     assert limited_desc.tobytes() == desc.tobytes()
-    c_embed, block_caches, _ = limited_tape.c_vit
     if extra == ():  # frozen backbone: no patch cache, block 0 keeps its adapter's alone
-        assert c_embed is None
-        assert block_caches[0][:4] == (None,) * 4 and block_caches[0][4] is not None
+        for (c_embed, block_caches, _), *_ in limited_tape.streams:
+            assert c_embed is None
+            assert block_caches[0][:4] == (None,) * 4 and block_caches[0][4] is not None
     limited: dict = {}
     model_backward(ddesc, limited_tape, params, limited)
     assert set(limited) == trainable
@@ -70,12 +74,12 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
         assert limited[name].tobytes() == full[name].tobytes(), name
 
 
-def _variant(fusion, rng):
-    """tiny_cfg parameters of one fusion, with the zero-initialised projections drawn."""
+def _variant(fusion, rng, cfg=None):
+    """cfg (default tiny_cfg) parameters of one fusion, zero-initialised projections drawn."""
     flags = {"dfm": AblationFlags(), "sum": AblationFlags(),
              "concat": AblationFlags(disable_dfm=True),
              "vit-only": AblationFlags(disable_cnn_stream=True)}[fusion]
-    params = init_model(tiny_cfg(), flags, seed=4)
+    params = init_model(cfg or tiny_cfg(), flags, seed=4)
     if fusion == "sum":
         params = {n: v for n, v in params.items() if not n.startswith("dfm.")}
     for name in params:
@@ -98,9 +102,10 @@ def test_descriptors_without_tape_match_full_tape_bitwise(rng, fusion, batch):
     bare, tape = model_forward(images, params, cfg, trainable=set())
     assert compute_descriptors(images, params, cfg, batch_size=64).tobytes() == full.tobytes()
     assert bare.tobytes() == full.tobytes()
-    c_embed, block_caches, _ = tape.c_vit
-    assert c_embed is None and block_caches == [None] * cfg.depth
-    assert (tape.c_cnn, tape.c_align, tape.c_dfm, tape.c_head) == (None,) * 4
+    assert len(tape.streams) == math.ceil(batch / SUB_BATCH) and tape.c_head is None
+    for (c_embed, block_caches, _), *stream_caches in tape.streams:
+        assert c_embed is None and block_caches == [None] * cfg.depth
+        assert stream_caches == [None] * 3
 
 
 @pytest.mark.parametrize("fusion", FUSIONS)
@@ -218,6 +223,66 @@ def test_compute_descriptors_batching_consistent(rng):
     one = compute_descriptors(images, params, cfg, batch_size=64)
     many = compute_descriptors(images, params, cfg, batch_size=2)
     np.testing.assert_allclose(one, many, atol=1e-12)
+
+
+def test_descriptors_do_not_depend_on_the_batch(rng):
+    cfg = ModelConfig.toy()
+    params = _variant("dfm", rng, cfg)
+    images = rng.random((64, cfg.image_size, cfg.image_size, 3))
+    expected = compute_descriptors(images, params, cfg, batch_size=64)
+    for batch in (1, SUB_BATCH, SUB_BATCH + 1):
+        got = compute_descriptors(images, params, cfg, batch_size=batch)
+        assert got.tobytes() == expected.tobytes(), batch
+
+
+def test_step_gradients_do_not_depend_on_the_pool(rng, monkeypatch):
+    cfg = ModelConfig.toy()
+    params = _variant("dfm", rng, cfg)
+    images = rng.random((2 * SUB_BATCH + 1, cfg.image_size, cfg.image_size, 3))
+    trainable = set(trainable_names(params, freeze_backbone=True))
+    ddesc = rng.normal(size=(images.shape[0], descriptor_dim(params)))
+
+    def step():
+        desc, tape = model_forward(images, params, cfg, cross=True, trainable=trainable)
+        grads: dict = {}
+        model_backward(ddesc, tape, params, grads)
+        return desc, grads
+
+    desc, grads = step()
+    monkeypatch.setattr(model_mod, "_POOL", ThreadPoolExecutor(1))
+    one_desc, one_grads = step()
+    model_mod._POOL.shutdown()
+    assert one_desc.tobytes() == desc.tobytes()
+    assert list(one_grads) == list(grads)
+    for name, g in grads.items():
+        assert one_grads[name].tobytes() == g.tobytes(), name
+
+
+def test_concurrent_encodes_share_the_cached_matrices(rng):
+    cfg = tiny_cfg()
+    params = _variant("dfm", rng)
+    images = rng.random((SUB_BATCH + 1, 32, 32, 3))
+    expected = compute_descriptors(images, params, cfg)
+    spectral._dft_matrix.cache_clear()
+    ops._resize_matrix.cache_clear()
+    callers = 4  # more threads than a 2-core host has cores, besides the shared pool
+    start = threading.Barrier(callers, timeout=60)
+
+    def encode():
+        start.wait()  # every caller reaches the emptied caches together
+        return compute_descriptors(images, params, cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(callers) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(encode)
+                                                      for _ in range(callers)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got.tobytes() == expected.tobytes()
+    assert spectral._dft_matrix.cache_info().currsize and ops._resize_matrix.cache_info().currsize
 
 
 def test_stream_maps_names(rng):
