@@ -1,14 +1,14 @@
 """Command-line interface: gen, train, eval, gradcheck, heatmap.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or numeric failure.
-Scalar settings can be overridden with LGCN_-prefixed environment
-variables; explicit flags win over the environment, which wins over the
-config file.
+A run's settings come from the config file and the flags; explicit flags
+win over the config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -20,8 +20,8 @@ import numpy as np
 from . import ops
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_descriptors
 from .checksuite import run_suite
-from .config import (ConfigError, RunConfig, apply_env_overrides, dump_run_config,
-                     load_run_config, run_config_from_dict, run_config_to_dict)
+from .config import (ConfigError, dump_run_config, load_run_config, run_config_from_dict,
+                     run_config_to_dict)
 from .dataset import load_dataset
 from .heatmap import export_heatmaps
 from .model import (DROPPED_GROUPS, compute_descriptors, dropped_groups, fusion_of, init_model,
@@ -52,7 +52,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic place world")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--places", type=int, required=True, help="at least 2")
     p.add_argument("--views", type=int, required=True, help="views per place, at least 1")
     p.add_argument("--out", required=True)
@@ -101,9 +101,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    env = apply_env_overrides(RunConfig())
-    seed = args.seed if args.seed is not None else env.train.seed
-    records = generate_world(seed, args.places, args.views, args.out, image_size=args.size)
+    records = generate_world(args.seed, args.places, args.views, args.out, image_size=args.size)
     n_db = sum(1 for r in records if r.split == "database")
     print(f"wrote {len(records)} images ({n_db} database, {len(records) - n_db} query) "
           f"to {args.out}")
@@ -111,8 +109,8 @@ def cmd_gen(args) -> int:
 
 
 def _effective_run_config(args):
-    """Flags over LGCN_* over the config file, all checked by the config parser."""
-    data = run_config_to_dict(apply_env_overrides(load_run_config(args.config)))
+    """Flags over the config file, all checked by the config parser."""
+    data = run_config_to_dict(load_run_config(args.config))
     flags = {("train", "seed"): args.seed, ("train", "epochs"): args.epochs,
              ("train", "batch_size"): args.batch_size, ("train", "learning_rate"): args.lr,
              ("train", "k_negatives"): args.k_negatives, ("train", "freeze_backbone"): args.freeze,
@@ -202,7 +200,6 @@ def cmd_eval(args) -> int:
         raise UsageError(f"bad --n list {args.n!r}")
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise UsageError(f"--threshold must be a finite distance >= 0 m, got {args.threshold}")
-    apply_env_overrides(RunConfig())  # a malformed LGCN_ value is a usage error here too
     params, mcfg = _load_model(args.checkpoint)
     params = _ablated(params, args)
     records, images = load_dataset(args.data)
@@ -233,10 +230,11 @@ def cmd_eval(args) -> int:
         save_descriptors(args.dump_descriptors, desc_all)
     if args.per_query:
         with atomic_write(args.per_query, encoding="utf-8", newline="") as fh:
-            fh.write("query_id,rank,db_id,similarity\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["query_id", "rank", "db_id", "similarity"])
             for qi, q in enumerate(q_records):
                 for rank, did in enumerate(topk[qi], start=1):
-                    fh.write(f"{q.id},{rank},{did},{float(sims[qi][rank - 1])!r}\n")
+                    writer.writerow([q.id, rank, did, float(sims[qi][rank - 1])])
     with atomic_write(args.out, encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,6 +57,10 @@ class ModelConfig:
             raise ConfigError(
                 f"image_size/8 = {stage_out} not divisible by cnn_grid {self.cnn_grid}"
             )
+        if not 0 < self.adapter_ratio <= 1:  # a bottleneck; also rejects NaN
+            raise ConfigError(f"adapter_ratio must lie in (0, 1], got {self.adapter_ratio}")
+        if not math.isfinite(self.adapter_scale_init):
+            raise ConfigError(f"adapter_scale_init must be finite, got {self.adapter_scale_init}")
 
     @property
     def grid(self) -> int:
@@ -139,6 +142,8 @@ class TrainConfig:
             raise ConfigError("adam_eps must be finite and > 0")
         if self.batch_size < 1 or self.epochs < 0 or self.k_negatives < 1:
             raise ConfigError("batch_size, epochs, k_negatives out of range")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -175,6 +180,11 @@ def _section(raw, section: str, defaults: dict) -> dict:
         kind = type(defaults[key])
         if not (type(value) in (int, float) if kind is float else type(value) is kind):
             raise ConfigError(f"bad {section} value {key}={value!r}")
+        if kind is float and type(value) is int:  # kept as given: float() would change the bytes
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{section} value {key} is too large for a float") from None
     return dict(raw)
 
 
@@ -226,29 +236,3 @@ def dump_run_config(cfg: RunConfig, path: str) -> None:
     with atomic_write(path, encoding="utf-8") as fh:
         json.dump(run_config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-ENV_PREFIX = "LGCN_"
-
-_ENV_SCALARS = {
-    "SEED": ("train", "seed", int),
-    "EPOCHS": ("train", "epochs", int),
-    "BATCH_SIZE": ("train", "batch_size", int),
-    "LEARNING_RATE": ("train", "learning_rate", float),
-}
-
-
-def apply_env_overrides(cfg: RunConfig, environ: dict | None = None) -> RunConfig:
-    """Apply LGCN_-prefixed environment overrides onto a parsed config."""
-    env = os.environ if environ is None else environ
-    data = run_config_to_dict(cfg)
-    for key, (section, name, conv) in _ENV_SCALARS.items():
-        raw = env.get(ENV_PREFIX + key)
-        if raw is None:
-            continue
-        try:
-            value = conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {ENV_PREFIX + key}: {raw!r}") from exc
-        data[section][name] = value
-    return run_config_from_dict(data)

@@ -181,10 +181,11 @@ def generate_world(seed: int, n_places: int, views_per_place: int, out_dir,
     """Render a world to out_dir/images plus out_dir/manifest.csv.
 
     Returns the manifest records. Per place, the first half of the views is
-    the database split and the rest are queries. A count or an image size
-    below its minimum raises ConfigError.
+    the database split and the rest are queries. A negative seed, or a count
+    or an image size below its minimum, raises ConfigError.
     """
-    for what, value, least in (("places", n_places, 2), ("views per place", views_per_place, 1),
+    for what, value, least in (("seed", seed, 0), ("places", n_places, 2),
+                               ("views per place", views_per_place, 1),
                                ("image size", image_size, MIN_IMAGE_SIZE)):
         if value < least:
             raise ConfigError(f"{what} must be >= {least}, got {value}")

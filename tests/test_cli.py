@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import os
@@ -71,15 +72,28 @@ def test_gen_different_seed_differs(tmp_path):
     assert sha(a / "manifest.csv") != sha(b / "manifest.csv")
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("LGCN_SEED", "31")
-    assert main(["gen", "--places", "3", "--views", "2", "--out", str(a),
-                 "--size", "32"]) == 0
-    monkeypatch.setenv("LGCN_SEED", "32")
-    assert main(["gen", "--places", "3", "--views", "2", "--out", str(b),
-                 "--size", "32"]) == 0
-    assert sha(a / "manifest.csv") != sha(b / "manifest.csv")
+def _gen_train_eval(root, cfg):
+    """Digests of the manifest, checkpoint, report and descriptor dump of a small run."""
+    world, out = root / "world", root / "train"
+    assert main(["gen", "--places", "6", "--views", "4", "--out", str(world), "--size", "32"]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out)]) == 0
+    assert main(["eval", "--checkpoint", str(out / "checkpoint-epoch001.ckpt"),
+                 "--data", str(world), "--out", str(out / "eval.json"),
+                 "--dump-descriptors", str(out / "desc.bin")]) == 0
+    return [sha(path) for path in (world / "manifest.csv", out / "checkpoint-epoch001.ckpt",
+                                   out / "report.jsonl", out / "desc.bin")]
+
+
+def test_lgcn_environment_variables_are_ignored(tmp_path, monkeypatch):
+    # settings come from flags and --config only, so these change no byte
+    cfg = write_config(tmp_path)
+    for name in [n for n in os.environ if n.startswith("LGCN_")]:
+        monkeypatch.delenv(name)
+    clean = _gen_train_eval(tmp_path / "clean", cfg)
+    for name, value in (("LGCN_SEED", "5"), ("LGCN_EPOCHS", "many"), ("LGCN_BATCH_SIZE", "3"),
+                        ("LGCN_LEARNING_RATE", "nan")):
+        monkeypatch.setenv(name, value)
+    assert _gen_train_eval(tmp_path / "set", cfg) == clean
 
 
 def test_train_artifacts(world, trained):
@@ -193,6 +207,31 @@ def test_eval_failed_side_file_leaves_no_report(tmp_path, world, trained, flag):
     assert code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
     assert list(blocked.iterdir()) == []
+
+
+def test_per_query_csv_reads_back_for_any_id(tmp_path, world, trained):
+    data = tmp_path / "odd-ids"
+    shutil.copytree(world, data)
+    manifest = data / "manifest.csv"
+    with manifest.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    with manifest.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [rows[0]] + [[row[0] + ',"x', *row[1:]] for row in rows[1:]])
+    tables = []
+    for name, d in (("plain", world), ("odd", data)):
+        out = tmp_path / f"{name}.csv"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
+                     "--data", str(d), "--out", str(tmp_path / "r.json"),
+                     "--per-query", str(out)]) == 0
+        with out.open(newline="") as fh:
+            tables.append((out.read_text(), list(csv.reader(fh))))
+    (plain_text, plain), (_, odd) = tables
+    assert plain[0] == odd[0] == ["query_id", "rank", "db_id", "similarity"]
+    assert odd[1:] == [[q + ',"x', rank, db + ',"x', sim] for q, rank, db, sim in plain[1:]]
+    # ordinary ids keep the bytes of the plain comma-joined rows
+    assert plain_text == "query_id,rank,db_id,similarity\n" + "".join(
+        f"{q},{rank},{db},{float(sim)!r}\n" for q, rank, db, sim in plain[1:])
 
 
 def test_eval_ablation_flag_changes_descriptors(tmp_path, world, trained):
@@ -309,7 +348,9 @@ def _with_header(tmp_path, trained, edit):
     lambda h: h["model"].update(embed_dim="16"),
     lambda h: h["model"].update(patch_size=0),
     lambda h: h.update(bogus=1),
-], ids=["unknown-key", "missing-key", "mistyped-value", "zero-patch", "unknown-section"])
+    lambda h: h["model"].update(adapter_ratio=1e308),
+], ids=["unknown-key", "missing-key", "mistyped-value", "zero-patch", "unknown-section",
+        "huge-adapter-ratio"])
 def test_bad_checkpoint_header_is_runtime_error(tmp_path, world, trained, capsys, edit):
     code, err = _eval_exit(tmp_path, world, _with_header(tmp_path, trained, edit), capsys)
     assert code == 2
@@ -448,7 +489,8 @@ def test_malformed_config_is_usage_error(tmp_path, world, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--k-negatives", "0"], ["--lr", "-1"], ["--batch-size", "0"], ["--epochs", "-1"],
-], ids=["k-negatives-0", "lr-minus-1", "batch-size-0", "epochs-minus-1"])
+    ["--seed", "-1"],
+], ids=["k-negatives-0", "lr-minus-1", "batch-size-0", "epochs-minus-1", "seed-minus-1"])
 def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
     # the same values in the config file are rejected by the config parser
     cfg = write_config(tmp_path)
@@ -456,6 +498,7 @@ def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
                  "--out", str(tmp_path / "o"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -464,14 +507,18 @@ def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
     ("train.adam_eps", 0.0), ("train.adam_eps", -1.0),
     ("train.learning_rate", float("inf")), ("train.learning_rate", float("nan")),
     ("train.margin", float("nan")), ("train.margin", float("inf")),
+    *[pytest.param(key, 10**400, id=f"{key}-10**400")
+      for key in ("train.learning_rate", "train.margin", "train.adam_eps")],
+    ("train.seed", -1), ("model.adapter_ratio", 1e308), ("model.adapter_ratio", -1),
+    ("model.adapter_scale_init", float("nan")),
 ])
 def test_out_of_range_config_value_is_usage_error(tmp_path, world, capsys, key, value):
-    cfg = write_config(tmp_path, **{key: value})  # json writes NaN and Infinity
+    cfg = write_config(tmp_path, **{key: value})  # json writes NaN, Infinity and long ints
     assert main(["train", "--config", str(cfg), "--data", str(world),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and "Traceback" not in err
-    assert not (tmp_path / "o" / "checkpoint-epoch001.ckpt").exists()
+    assert err.startswith("usage error: ") and key.split(".")[1] in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_paper_header_is_rejected_without_building_the_model(tmp_path, world, capsys):
@@ -494,14 +541,6 @@ def test_paper_header_is_rejected_without_building_the_model(tmp_path, world, ca
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20  # the paper model itself is 113,185,998 float64 values
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_env_learning_rate_is_usage_error(tmp_path, world, capsys, monkeypatch, value):
-    monkeypatch.setenv("LGCN_LEARNING_RATE", value)
-    assert main(["train", "--config", str(write_config(tmp_path)), "--data", str(world),
-                 "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("usage error: learning_rate")
 
 
 @pytest.mark.parametrize("command,value", [("train", "1"), ("eval", "2")])
@@ -561,7 +600,7 @@ def test_legacy_dfm_mode_header(tmp_path, world, trained, capsys, mode):
 def test_legacy_dfm_mode_config(tmp_path, world, trained, capsys, monkeypatch, mode):
     # every config.json written while the fusion rule was a setting holds dfm_mode
     cfg = write_config(tmp_path, **{"model.dfm_mode": mode})
-    monkeypatch.setenv("LGCN_DFM_MODE", "verbatim-eq5")  # ignored like any unknown name
+    monkeypatch.setenv("LGCN_DFM_MODE", "verbatim-eq5")  # ignored like every LGCN_ name
     out = tmp_path / "run"
     code = main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out)])
     if mode != "paper-text":
@@ -645,27 +684,13 @@ def test_bad_dataset_file_is_named(tmp_path, world, trained, capsys, corrupt):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "eval"])
-def test_malformed_unrelated_env_value_is_usage_error(tmp_path, world, trained, capsys,
-                                                      monkeypatch, command):
-    monkeypatch.setenv("LGCN_EPOCHS", "many")
-    argv = {"gen": ["gen", "--places", "2", "--views", "1", "--out", str(tmp_path / "w")],
-            "eval": ["eval", "--checkpoint", str(trained / "checkpoint-epoch001.ckpt"),
-                     "--data", str(world), "--out", str(tmp_path / "r.json")]}[command]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "usage error: bad value for LGCN_EPOCHS: 'many'\n"
-    assert not (tmp_path / "w").exists() and not (tmp_path / "r.json").exists()
-
-
-def test_train_flags_over_env_over_file(tmp_path, monkeypatch):
+def test_train_flags_over_env_over_file(tmp_path):
     from lgcn.cli import _effective_run_config, build_parser
     cfg = write_config(tmp_path, **{"train.seed": 1, "train.epochs": 1, "train.batch_size": 4})
-    monkeypatch.setenv("LGCN_SEED", "2")
-    monkeypatch.setenv("LGCN_EPOCHS", "3")
     args = build_parser().parse_args(["train", "--config", str(cfg), "--data", "d", "--out", "o",
                                       "--seed", "4", "--disable-dfm"])
     run = _effective_run_config(args)
-    assert (run.train.seed, run.train.epochs, run.train.batch_size) == (4, 3, 4)
+    assert (run.train.seed, run.train.epochs, run.train.batch_size) == (4, 1, 4)
     assert run.ablation.disable_dfm and not run.ablation.disable_fsa
 
 
@@ -717,7 +742,8 @@ def test_eval_ablation_flags_drop_groups(tmp_path, world, variants, capsys,
 @pytest.mark.parametrize("flags,bound", [
     (["--places", "1"], "places must be >= 2"), (["--views", "0"], "views per place must be >= 1"),
     (["--size", "27"], "image size must be >= 28"), (["--size", "0"], "image size must be >= 28"),
-], ids=["places-1", "views-0", "size-27", "size-0"])
+    (["--seed", "-1"], "seed must be >= 0"),
+], ids=["places-1", "views-0", "size-27", "size-0", "seed-minus-1"])
 def test_gen_out_of_range_flag_is_usage_error(tmp_path, capsys, flags, bound):
     # a repeated flag overrides the valid value before it
     assert main(["gen", "--places", "2", "--views", "1", "--size", "28",

@@ -1,10 +1,9 @@
-"""Config parsing, presets, env overrides."""
+"""Config parsing and presets."""
 
 import pytest
 
 from lgcn.config import (AblationFlags, ConfigError, ModelConfig, RunConfig,
-                         TrainConfig, apply_env_overrides, run_config_from_dict,
-                         run_config_to_dict)
+                         TrainConfig, run_config_from_dict, run_config_to_dict)
 from lgcn.model import fusion_of, init_model
 
 
@@ -105,10 +104,6 @@ def test_legacy_dfm_mode_key():
         run_config_from_dict({"model": {"dfm_mode": None}})
 
 
-def test_dfm_mode_env_is_ignored():
-    assert apply_env_overrides(RunConfig(), {"LGCN_DFM_MODE": "verbatim-eq5"}) == RunConfig()
-
-
 @pytest.mark.parametrize("data", [
     3, [],
     {"model": 3},
@@ -136,6 +131,14 @@ def test_dfm_mode_env_is_ignored():
     {"train": {"learning_rate": float("inf")}},
     {"train": {"margin": float("nan")}},
     {"train": {"margin": float("inf")}},
+    {"train": {"learning_rate": 10**400}},
+    {"train": {"margin": 10**400}},
+    {"train": {"adam_eps": 10**400}},
+    {"train": {"seed": -1}},
+    {"model": {"adapter_ratio": 1e308}},
+    {"model": {"adapter_ratio": -1}},
+    {"model": {"adapter_ratio": 0}},
+    {"model": {"adapter_scale_init": float("nan")}},
 ])
 def test_bad_values_rejected(data):
     with pytest.raises(ConfigError):
@@ -143,26 +146,11 @@ def test_bad_values_rejected(data):
 
 
 def test_int_accepted_for_float_field():
-    assert run_config_from_dict({"train": {"learning_rate": 0}}).train.learning_rate == 0
-
-
-def test_env_overrides():
-    cfg = RunConfig()
-    out = apply_env_overrides(cfg, {"LGCN_SEED": "17", "LGCN_EPOCHS": "2"})
-    assert out.train.seed == 17
-    assert out.train.epochs == 2
-    assert out.model == cfg.model
-
-
-def test_env_override_bad_value():
-    with pytest.raises(ConfigError):
-        apply_env_overrides(RunConfig(), {"LGCN_SEED": "abc"})
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_env_learning_rate_must_be_finite(value):
-    with pytest.raises(ConfigError, match="learning_rate"):
-        apply_env_overrides(RunConfig(), {"LGCN_LEARNING_RATE": value})
+    # kept as an int, so config.json and checkpoint headers write it back unchanged
+    lr = run_config_from_dict({"train": {"learning_rate": 0}}).train.learning_rate
+    assert lr == 0 and type(lr) is int
+    with pytest.raises(ConfigError, match="train config value margin is too large for a float"):
+        run_config_from_dict({"train": {"margin": 10**400}})
 
 
 def test_adam_bounds_accept_their_closed_ends():
