@@ -32,8 +32,6 @@ class ModelConfig:
     cnn_channels: int = 96
     cnn_grid: int = 4
     align_mid: int = 6           # intermediate side of the upsampler, between cnn_grid and grid
-    adapter_ratio: float = 0.5
-    adapter_scale_init: float = 0.1
 
     def __post_init__(self):
         for name in ("patch_size", "num_heads", "cnn_grid", "embed_dim", "cnn_channels", "depth"):
@@ -57,10 +55,6 @@ class ModelConfig:
             raise ConfigError(
                 f"image_size/8 = {stage_out} not divisible by cnn_grid {self.cnn_grid}"
             )
-        if not 0 < self.adapter_ratio <= 1:  # a bottleneck; also rejects NaN
-            raise ConfigError(f"adapter_ratio must lie in (0, 1], got {self.adapter_ratio}")
-        if not math.isfinite(self.adapter_scale_init):
-            raise ConfigError(f"adapter_scale_init must be finite, got {self.adapter_scale_init}")
 
     @property
     def grid(self) -> int:
@@ -72,7 +66,7 @@ class ModelConfig:
 
     @property
     def adapter_dim(self) -> int:
-        return math.ceil(self.adapter_ratio * self.embed_dim)
+        return math.ceil(self.embed_dim / 2)  # the adapter's bottleneck: half the token width
 
     @property
     def gate_dim(self) -> int:
@@ -111,8 +105,6 @@ _PAPER = dict(
     cnn_channels=1024,
     cnn_grid=7,
     align_mid=14,
-    adapter_ratio=0.5,
-    adapter_scale_init=0.1,
 )
 
 
@@ -123,23 +115,13 @@ class TrainConfig:
     learning_rate: float = 1e-3   # paper-scale preset uses 1e-5; toy backbones are random
     batch_size: int = 8           # paper-scale preset uses 16
     epochs: int = 5
-    margin: float = 0.1
     k_negatives: int = 4
     seed: int = 0
     freeze_backbone: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("learning_rate", "margin"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in [0, 1)")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ConfigError("adam_eps must be finite and > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError("learning_rate must be finite and >= 0")
         if self.batch_size < 1 or self.epochs < 0 or self.k_negatives < 1:
             raise ConfigError("batch_size, epochs, k_negatives out of range")
         if self.seed < 0:
@@ -168,13 +150,27 @@ def _defaults(cls) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
+# Keys that earlier versions wrote, each with the one value every run held.
+# A file holding that value still loads and the key is dropped; any other
+# value asks for a setting that is gone, so it is rejected by name.
+_RETIRED = {
+    "model config": {"dfm_mode": "paper-text", "adapter_ratio": 0.5, "adapter_scale_init": 0.1},
+    "train config": {"margin": 0.1, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
+}
+
+
 def _section(raw, section: str, defaults: dict) -> dict:
     """Copy of one config object, rejecting unknown keys and mistyped values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} must be a JSON object, not {raw!r}")
-    unknown = set(raw) - set(defaults)
+    retired = _RETIRED.get(section, {})
+    unknown = set(raw) - set(defaults) - set(retired)
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {sorted(unknown)}")
+    for key, value in retired.items():
+        if key in raw and raw[key] != value:
+            raise ConfigError(f"unsupported {section} key {key}={raw[key]!r}, not {value!r}")
+    raw = {key: value for key, value in raw.items() if key not in retired}
     for key, value in raw.items():
         # bool is an int subclass and an int is a valid float: compare kinds exactly
         kind = type(defaults[key])
@@ -185,24 +181,20 @@ def _section(raw, section: str, defaults: dict) -> dict:
                 float(value)
             except OverflowError:
                 raise ConfigError(f"{section} value {key} is too large for a float") from None
-    return dict(raw)
+    return raw
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Parse a config dict, rejecting unknown keys and mistyped values.
 
-    The ablation key "static_fusion", written by versions that kept it as a
-    switch of its own, is read as disable_dfm: both select concat fusion.
-    The top-level int "threads", written by versions that had an inference
-    thread pool, is accepted and ignored, and so is the model key "dfm_mode"
-    when it holds "paper-text", the one fusion rule the model runs.
+    Keys earlier versions wrote still load: each _RETIRED key at its one
+    value is dropped. The ablation key "static_fusion", written by versions
+    that kept it as a switch of its own, is read as disable_dfm: both select
+    concat fusion. The top-level int "threads", written by versions that had
+    an inference thread pool, is accepted and ignored.
     """
     top = _section(data, "config", {"model": {}, "train": {}, "ablation": {}, "threads": 1})
-    model = _section(top.get("model", {}), "model config",
-                     {**_defaults(ModelConfig), "dfm_mode": "paper-text"})
-    dfm_mode = model.pop("dfm_mode", "paper-text")
-    if dfm_mode != "paper-text":
-        raise ConfigError(f"unsupported model key dfm_mode={dfm_mode!r}, not 'paper-text'")
+    model = _section(top.get("model", {}), "model config", _defaults(ModelConfig))
     preset = model.pop("preset", "toy")
     train = _section(top.get("train", {}), "train config", _defaults(TrainConfig))
     ablation = _section(top.get("ablation", {}), "ablation config",

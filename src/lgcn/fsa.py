@@ -31,7 +31,7 @@ def fsa_spec(cfg, prefix: str) -> list:
         (f"{prefix}.dw_k", (cr, 3, 3), _identity_taps),
         (f"{prefix}.gains_log", (g, g, cr), ZEROS),
         (f"{prefix}.fuse_w", (2 * cr, d), ZEROS),
-        (f"{prefix}.scale", (), const(cfg.adapter_scale_init)),
+        (f"{prefix}.scale", (), const(0.1)),  # the residual scale a fresh adapter starts at
     ]
 
 

@@ -86,21 +86,16 @@ def _map(fn, items) -> list:
 
 @dataclass
 class ModelTape:
-    """Forward caches plus the intermediate maps the diagnostics read.
+    """The forward caches model_backward reads.
 
     trainable is the set the caches were kept for and model_backward runs under.
-    streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch; the maps
-    are whole-batch arrays.
+    streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch.
     """
 
     trainable: set | None
     streams: list
     c_head: object
     fusion: str
-    fvit: np.ndarray
-    fres: np.ndarray | None
-    omega: np.ndarray | None
-    fused: np.ndarray
 
 
 def _streams_forward(images, params, cfg: ModelConfig, fusion: str, trainable, keep: bool):
@@ -134,24 +129,16 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
     inference keeps images independent. The tape keeps only the caches
     model_backward reads under the same trainable: None keeps all of them
     (the gradcheck path), a set none of the frozen ViT prefix's
-    (vit.first_trained_block), and an empty set none at all. fvit, fres,
-    omega and fused are always kept.
+    (vit.first_trained_block), and an empty set none at all.
     """
     fusion = fusion_of(params)
     keep = trainable is None or bool(trainable)
     # An empty batch is one empty sub-batch.
     subs = [images[i:i + SUB_BATCH] for i in range(0, max(images.shape[0], 1), SUB_BATCH)]
     outs = _map(lambda x: _streams_forward(x, params, cfg, fusion, trainable, keep), subs)
-
-    def whole(k):
-        parts = [o[k] for o in outs]
-        return parts[0] if len(parts) == 1 or parts[0] is None else np.concatenate(parts)
-
-    fvit, fres, omega, fused = (whole(k) for k in range(1, 5))
+    fused = outs[0][4] if len(outs) == 1 else np.concatenate([o[4] for o in outs])
     desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
-    tape = ModelTape(trainable, [o[0] for o in outs], c_head if keep else None, fusion,
-                     fvit, fres, omega, fused)
-    return desc, tape
+    return desc, ModelTape(trainable, [o[0] for o in outs], c_head if keep else None, fusion)
 
 
 def _streams_backward(dfused, caches, fusion: str, params, trainable) -> dict:
@@ -203,10 +190,7 @@ def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64) 
 
 def stream_maps(image, params, cfg: ModelConfig) -> dict:
     """Named per-stream maps for one image, for heatmap export."""
-    _, tape = model_forward(image[None], params, cfg, trainable=set())
-    maps = {"fvit": tape.fvit[0], "fused": tape.fused[0]}
-    if tape.fres is not None:
-        maps["fres"] = tape.fres[0]
-    if tape.omega is not None:
-        maps["omega"] = tape.omega[0]
-    return maps
+    _, fvit, fres, omega, fused = _streams_forward(image[None], params, cfg, fusion_of(params),
+                                                   set(), keep=False)
+    maps = {"fvit": fvit, "fres": fres, "omega": omega, "fused": fused}
+    return {name: m[0] for name, m in maps.items() if m is not None}

@@ -199,7 +199,7 @@ def attention_bwd(dy, cache):
 
 
 # ---------------------------------------------------------------------------
-# convolutions (tap-loop form: one matmul per kernel tap, no scatter)
+# convolutions (conv2d: one im2col matmul; the input gradient and depthwise loop over taps)
 # ---------------------------------------------------------------------------
 
 def _pad_hw(xb, p):

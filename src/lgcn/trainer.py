@@ -25,6 +25,7 @@ from .retrieval import geodistance_matrix, place_relations, rank, recall_at_n, s
 
 POSITIVE_RADIUS_M = 10.0
 NEGATIVE_RADIUS_M = 25.0
+MARGIN = 0.1  # the triplet hinge's margin on squared L2 distances
 RECALL_NS = (1, 5, 10)
 
 
@@ -113,9 +114,10 @@ def triplet_loss_bwd(dloss, cache):
 class Adam:
     """Standard Adam with bias correction; frozen names receive no update."""
 
+    b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
     def __init__(self, cfg: TrainConfig, trainable: list[str]):
         self.lr = cfg.learning_rate
-        self.b1, self.b2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
         self.trainable = set(trainable)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -144,7 +146,6 @@ class Adam:
 class TrainReport:
     rows: list[dict] = field(default_factory=list)
     checksums: dict = field(default_factory=dict)
-    checkpoints: list[str] = field(default_factory=list)
     timings: list[dict] = field(default_factory=list)
 
 
@@ -206,7 +207,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             a_d = desc_all[ka]
             p_d = desc_all[nb + ka]
             n_d = desc_all[2 * nb:]
-            loss, c_loss = triplet_loss_fwd(a_d, p_d, n_d, train_cfg.margin)
+            loss, c_loss = triplet_loss_fwd(a_d, p_d, n_d, MARGIN)
             if not np.isfinite(loss):
                 if out_dir:
                     _dump_nan_diag(out_dir, epoch, start // b, params)
@@ -229,9 +230,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
         if log:
             log(report.rows[-1])
         if out_dir:
-            path = os.path.join(out_dir, f"checkpoint-epoch{epoch:03d}.ckpt")
-            save_checkpoint(path, params, header)
-            report.checkpoints.append(path)
+            save_checkpoint(os.path.join(out_dir, f"checkpoint-epoch{epoch:03d}.ckpt"),
+                            params, header)
 
     report.checksums = {
         "backbone_sha256": group_sha256(params, "vit."),

@@ -501,6 +501,8 @@ def test_out_of_range_train_flag_is_usage_error(tmp_path, world, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+# beta1, beta2, adam_eps, margin, adapter_ratio and adapter_scale_init are
+# retired keys: any value but the one every run held is rejected by name.
 @pytest.mark.parametrize("key,value", [
     ("model.embed_dim", 0), ("model.cnn_channels", 0), ("model.depth", 0),
     ("train.beta1", 1.0), ("train.beta1", -0.5), ("train.beta2", 1.0), ("train.beta2", -0.5),
@@ -577,14 +579,32 @@ def test_removed_options_are_usage_errors(tmp_path, world, capsys, argv):
     assert out == "" and not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("mode", ["paper-text", "verbatim-eq5"])
-def test_legacy_dfm_mode_header(tmp_path, world, trained, capsys, mode):
-    # every header written while the fusion rule was a setting holds dfm_mode
-    legacy = _with_header(tmp_path, trained, lambda h: h["model"].update(dfm_mode=mode))
-    if mode != "paper-text":
+# Each retired key at the one value every run held, which still loads, and at
+# another value, which is rejected by name: (section, key, value, loads).
+def _retired(section, key, held, other):
+    return [pytest.param(section, key, held, True, id=f"{key}-{held}"),
+            pytest.param(section, key, other, False, id=f"{key}-{other}")]
+
+
+RETIRED_MODEL_KEYS = [
+    pytest.param("model", "dfm_mode", "paper-text", True, id="paper-text"),
+    pytest.param("model", "dfm_mode", "verbatim-eq5", False, id="verbatim-eq5"),
+    *_retired("model", "adapter_ratio", 0.5, 0.25),
+    *_retired("model", "adapter_scale_init", 0.1, 0.0),
+]
+RETIRED_KEYS = [*RETIRED_MODEL_KEYS, *_retired("train", "margin", 0.1, 0.2),
+                *_retired("train", "beta1", 0.9, 0.5), *_retired("train", "beta2", 0.999, 0.99),
+                *_retired("train", "adam_eps", 1e-8, 1e-6)]
+
+
+@pytest.mark.parametrize("section,key,value,loads", RETIRED_MODEL_KEYS)
+def test_legacy_dfm_mode_header(tmp_path, world, trained, capsys, section, key, value, loads):
+    # every header written while these were settings holds them
+    legacy = _with_header(tmp_path, trained, lambda h: h[section].update({key: value}))
+    if not loads:
         code, err = _eval_exit(tmp_path, world, legacy, capsys)
         assert code == 2
-        assert err.startswith("error: ") and "dfm_mode='verbatim-eq5'" in err
+        assert err.startswith("error: ") and f"{key}={value!r}" in err
         assert "Traceback" not in err and not (tmp_path / "r.json").exists()
         return
     reports = []
@@ -596,21 +616,22 @@ def test_legacy_dfm_mode_header(tmp_path, world, trained, capsys, mode):
     assert reports[0]["descriptor_sha256"] == reports[1]["descriptor_sha256"]
 
 
-@pytest.mark.parametrize("mode", ["paper-text", "verbatim-eq5"])
-def test_legacy_dfm_mode_config(tmp_path, world, trained, capsys, monkeypatch, mode):
-    # every config.json written while the fusion rule was a setting holds dfm_mode
-    cfg = write_config(tmp_path, **{"model.dfm_mode": mode})
+@pytest.mark.parametrize("section,key,value,loads", RETIRED_KEYS)
+def test_legacy_dfm_mode_config(tmp_path, world, trained, capsys, monkeypatch, section, key,
+                                value, loads):
+    # every config.json written while these were settings holds them
+    cfg = write_config(tmp_path, **{f"{section}.{key}": value})
     monkeypatch.setenv("LGCN_DFM_MODE", "verbatim-eq5")  # ignored like every LGCN_ name
     out = tmp_path / "run"
     code = main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out)])
-    if mode != "paper-text":
+    if not loads:
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and "dfm_mode='verbatim-eq5'" in err
+        assert err.startswith("usage error: ") and f"{key}={value!r}" in err
         assert "Traceback" not in err and not out.exists()
         return
     assert code == 0
-    assert "dfm_mode" not in json.loads((out / "config.json").read_text())["model"]
+    assert key not in json.loads((out / "config.json").read_text())[section]
     ckpt = "checkpoint-epoch001.ckpt"
     assert sha(out / ckpt) == sha(trained / ckpt)
 
@@ -684,7 +705,7 @@ def test_bad_dataset_file_is_named(tmp_path, world, trained, capsys, corrupt):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_train_flags_over_env_over_file(tmp_path):
+def test_train_flags_over_file(tmp_path):
     from lgcn.cli import _effective_run_config, build_parser
     cfg = write_config(tmp_path, **{"train.seed": 1, "train.epochs": 1, "train.batch_size": 4})
     args = build_parser().parse_args(["train", "--config", str(cfg), "--data", "d", "--out", "o",

@@ -12,8 +12,6 @@ def test_toy_preset_dimensions():
     assert (cfg.image_size, cfg.patch_size, cfg.grid) == (64, 8, 8)
     assert (cfg.embed_dim, cfg.num_heads, cfg.depth) == (64, 4, 4)
     assert (cfg.cnn_channels, cfg.cnn_grid, cfg.align_mid) == (96, 4, 6)
-    assert cfg.adapter_ratio == 0.5
-    assert cfg.adapter_scale_init == 0.1
     assert cfg.adapter_dim == 32
     assert cfg.head_dim == 16
 
@@ -40,8 +38,6 @@ def test_invalid_dimensions_rejected():
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(margin=-0.1)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
 
@@ -93,17 +89,41 @@ def test_legacy_threads_key():
     assert "threads" not in run_config_to_dict(cfg)
 
 
+def test_settable_keys():
+    # one more key here is one more setting; a value every run holds is a constant
+    keys = {section: sorted(values) for section, values in run_config_to_dict(RunConfig()).items()}
+    assert keys == {
+        "model": ["align_mid", "cnn_channels", "cnn_grid", "depth", "embed_dim", "image_size",
+                  "num_heads", "patch_size", "preset"],
+        "train": ["batch_size", "epochs", "freeze_backbone", "k_negatives", "learning_rate",
+                  "seed"],
+        "ablation": ["disable_cnn_stream", "disable_dfm", "disable_fsa"],
+    }
+
+
 def test_legacy_dfm_mode_key():
     # every header and config.json written while the fusion rule was a setting holds one
     cfg = run_config_from_dict({"model": {"preset": "toy", "dfm_mode": "paper-text"}})
     assert cfg == RunConfig()
     assert "dfm_mode" not in run_config_to_dict(cfg)["model"]
+    # so do the retired adapter and optimizer keys, at the values every run held
+    written = {"model": {"adapter_ratio": 0.5, "adapter_scale_init": 0.1,
+                         "dfm_mode": "paper-text"},
+               "train": {"adam_eps": 1e-08, "beta1": 0.9, "beta2": 0.999, "margin": 0.1}}
+    cfg = run_config_from_dict(written)
+    assert cfg == RunConfig()
+    for section, keys in written.items():
+        for key in keys:
+            with pytest.raises(ConfigError, match=f"unsupported {section} config key {key}=0.25"):
+                run_config_from_dict({section: {key: 0.25}})
     with pytest.raises(ConfigError, match="dfm_mode='verbatim-eq5'"):
         run_config_from_dict({"model": {"dfm_mode": "verbatim-eq5"}})
     with pytest.raises(ConfigError, match="dfm_mode"):
         run_config_from_dict({"model": {"dfm_mode": None}})
 
 
+# beta1, beta2, adam_eps, margin, adapter_ratio and adapter_scale_init are
+# retired keys: any value but the one every run held is rejected by name.
 @pytest.mark.parametrize("data", [
     3, [],
     {"model": 3},
@@ -149,10 +169,6 @@ def test_int_accepted_for_float_field():
     # kept as an int, so config.json and checkpoint headers write it back unchanged
     lr = run_config_from_dict({"train": {"learning_rate": 0}}).train.learning_rate
     assert lr == 0 and type(lr) is int
-    with pytest.raises(ConfigError, match="train config value margin is too large for a float"):
-        run_config_from_dict({"train": {"margin": 10**400}})
-
-
-def test_adam_bounds_accept_their_closed_ends():
-    cfg = TrainConfig(beta1=0.0, beta2=0.0, adam_eps=1e-300)
-    assert (cfg.beta1, cfg.beta2) == (0.0, 0.0)
+    with pytest.raises(ConfigError,
+                       match="train config value learning_rate is too large for a float"):
+        run_config_from_dict({"train": {"learning_rate": 10**400}})

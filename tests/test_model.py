@@ -113,9 +113,10 @@ def test_stream_maps_match_full_tape_bitwise(rng, fusion):
     cfg = tiny_cfg()
     params = _variant(fusion, rng)
     image = rng.random((32, 32, 3))
-    _, tape = model_forward(image[None], params, cfg)
+    # the stream pass that keeps every cache, as the gradcheck path runs it
+    _, *full = model_mod._streams_forward(image[None], params, cfg, fusion, None, keep=True)
     maps = stream_maps(image, params, cfg)
-    expected = {"fvit": tape.fvit, "fres": tape.fres, "omega": tape.omega, "fused": tape.fused}
+    expected = dict(zip(("fvit", "fres", "omega", "fused"), full))
     assert set(maps) == {name for name, m in expected.items() if m is not None}
     for name, m in maps.items():
         assert m.tobytes() == expected[name][0].tobytes(), name

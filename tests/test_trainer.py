@@ -195,11 +195,12 @@ def test_adam_single_step_matches_hand_computation():
     g = 2 * theta  # gradient of sum(theta^2)
     opt.step(params, {"w": g.copy()})
 
-    m = (1 - cfg.beta1) * g
-    v = (1 - cfg.beta2) * g * g
-    mhat = m / (1 - cfg.beta1)
-    vhat = v / (1 - cfg.beta2)
-    expected = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = (1 - beta1) * g
+    v = (1 - beta2) * g * g
+    mhat = m / (1 - beta1)
+    vhat = v / (1 - beta2)
+    expected = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
     assert np.abs(params["w"] - expected).max() < 1e-10
 
 
