@@ -2,8 +2,9 @@
 
 Checkpoint layout: magic, version, a JSON header with the model config,
 then a flat archive of named tensors (UTF-8 name, shape, raw little-endian
-scalars). Descriptor dumps: magic, version, count, dim, precision, then
-row-major little-endian vectors. Every file is written through atomic_write.
+scalars). Descriptor dumps: magic, version, count, dim, precision byte 8,
+then row-major little-endian float64 vectors. Every file is written through
+atomic_write.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ CKPT_MAGIC = b"LGCNCKPT"
 DESC_MAGIC = b"LGCNDESC"
 CKPT_VERSION = 1
 DESC_VERSION = 1
-_DESC_HEAD = "<IQQB"  # version, count, dim, precision (bytes per scalar)
+_DESC_HEAD = "<IQQB"  # version, count, dim, precision (bytes per scalar: 8)
 
 _DTYPE_CODES = {0: "<f8", 1: "<f4"}
 _DTYPE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -123,16 +124,13 @@ def group_sha256(params: dict, prefix: str = "") -> str:
     return h.hexdigest()
 
 
-def save_descriptors(path, vectors: np.ndarray, precision: int = 8) -> None:
-    if precision not in (4, 8):
-        raise CheckpointError("precision must be 4 or 8 bytes per scalar")
+def save_descriptors(path, vectors: np.ndarray) -> None:
     arr = np.ascontiguousarray(vectors)
     if arr.ndim != 2:
         raise CheckpointError("descriptor dump expects a (count, dim) array")
-    dtype = "<f8" if precision == 8 else "<f4"
     with atomic_write(path, "wb") as fh:
-        fh.write(DESC_MAGIC + struct.pack(_DESC_HEAD, DESC_VERSION, *arr.shape, precision))
-        fh.write(arr.astype(dtype).tobytes())
+        fh.write(DESC_MAGIC + struct.pack(_DESC_HEAD, DESC_VERSION, *arr.shape, 8))
+        fh.write(arr.astype("<f8").tobytes())
 
 
 def load_descriptors(path) -> np.ndarray:
@@ -143,9 +141,7 @@ def load_descriptors(path) -> np.ndarray:
             _DESC_HEAD, _read(fh, struct.calcsize(_DESC_HEAD), "descriptor header"))
         if version != DESC_VERSION:
             raise CheckpointError(f"{path}: unsupported descriptor version {version}")
-        if precision not in (4, 8):
-            raise CheckpointError(f"{path}: precision byte {precision} is neither 4 nor 8")
-        dtype = np.dtype("<f8" if precision == 8 else "<f4")
-        data = np.frombuffer(_read(fh, count * dim * dtype.itemsize, "descriptor data"),
-                             dtype=dtype)
-        return data.reshape(count, dim).astype(dtype.newbyteorder("="))
+        if precision != 8:
+            raise CheckpointError(f"{path}: precision byte {precision} is not 8 (float64)")
+        data = np.frombuffer(_read(fh, count * dim * 8, "descriptor data"), dtype="<f8")
+        return data.reshape(count, dim).astype(np.float64)

@@ -146,34 +146,6 @@ def _check_gem():
     return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, p=3.0)
 
 
-def _check_dft():
-    r = _rng(12)
-    x = r.normal(size=(4, 4, 2))[None]
-    wre = probe_weights((4, 4, 2), seed=5)[None]
-    wim = probe_weights((4, 4, 2), seed=6)[None]
-
-    def fn(p):
-        grid, cache = spectral.dft2d_fwd(p["x"])
-        loss = float((wre * grid.re).sum() + (wim * grid.im).sum())
-        dx = spectral.dft2d_bwd(spectral.ComplexGrid(wre, wim), cache)
-        return loss, {"x": dx}
-
-    return _probe(fn, {"x": x}, "spectral.dft2d")
-
-
-def _check_idft():
-    r = _rng(13)
-    re, im = r.normal(size=(4, 4, 2))[None], r.normal(size=(4, 4, 2))[None]
-    w = probe_weights((4, 4, 2), seed=7)[None]
-
-    def fn(p):
-        y, cache = spectral.idft2d_fwd(spectral.ComplexGrid(p["re"], p["im"]))
-        dgrid = spectral.idft2d_bwd(w, cache)
-        return float((w * y).sum()), {"re": dgrid.re, "im": dgrid.im}
-
-    return _probe(fn, {"re": re, "im": im}, "spectral.idft2d")
-
-
 def _check_frequency_branch():
     r = _rng(15)
     x = r.normal(size=(4, 4, 3))[None]
@@ -182,8 +154,8 @@ def _check_frequency_branch():
 
     def fn(p):
         gains = np.exp(p["gains_log"])
-        y, cache = fsa.frequency_branch_fwd(p["x"], gains)
-        dx, dgains = fsa.frequency_branch_bwd(w, cache)
+        y, cache = spectral.frequency_branch_fwd(p["x"], gains)
+        dx, dgains = spectral.frequency_branch_bwd(w, cache)
         return float((w * y).sum()), {"x": dx, "gains_log": dgains * gains}
 
     return _probe(fn, {"x": x, "gains_log": gains_log}, "spectral.frequency_branch")
@@ -354,8 +326,6 @@ def build_suite(scope: str = "all"):
         ("ops.avg_pool2d", _check_avgpool),
         ("ops.attention", _check_attention),
         ("ops.gem_pool", _check_gem),
-        ("spectral.dft2d", _check_dft),
-        ("spectral.idft2d", _check_idft),
         ("spectral.frequency_branch", _check_frequency_branch),
         ("trainer.triplet_loss", _check_triplet),
         ("vit.patch_embed", _check_patch_embed),

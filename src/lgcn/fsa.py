@@ -47,24 +47,6 @@ def spatial_branch_bwd(dy, cache):
     return ops.depthwise_conv2d_bwd(ops.gelu_bwd(dy, c_act), c_dw)
 
 
-def frequency_branch_fwd(x, gains):
-    """Scale the amplitude spectrum by finite positive gains, phase untouched."""
-    if not np.all((gains > 0) & (gains < np.inf)):  # NaN fails both
-        raise ValueError("frequency_branch: gains must be finite and strictly positive")
-    grid, c_dft = spectral.dft2d_fwd(x)
-    modded, c_mod = spectral.amplitude_modulate_fwd(grid, gains)
-    y, c_idft = spectral.idft2d_fwd(modded)
-    return y, (c_dft, c_mod, c_idft)
-
-
-def frequency_branch_bwd(dy, cache):
-    c_dft, c_mod, c_idft = cache
-    dmod = spectral.idft2d_bwd(dy, c_idft)
-    dgrid, dgains = spectral.amplitude_modulate_bwd(dmod, c_mod)
-    dx = spectral.dft2d_bwd(dgrid, c_dft)
-    return dx, dgains
-
-
 def fsa_forward(tokens, params, prefix, cfg):
     """Residual term for a token sequence; the class-token row stays zero.
 
@@ -78,7 +60,7 @@ def fsa_forward(tokens, params, prefix, cfg):
     down, c_down = ops.linear_fwd(fmap, params[f"{prefix}.down_w"])
     sp, c_sp = spatial_branch_fwd(down, params[f"{prefix}.dw_k"])
     gains = np.exp(params[f"{prefix}.gains_log"])
-    fr, c_fr = frequency_branch_fwd(down, gains)
+    fr, c_fr = spectral.frequency_branch_fwd(down, gains)
     cat = np.concatenate([sp, fr], axis=-1)
     fused, c_fuse = ops.linear_fwd(cat, params[f"{prefix}.fuse_w"])
     s = params[f"{prefix}.scale"]
@@ -99,7 +81,7 @@ def fsa_backward(dres, cache, params, grads):
     acc_grad(grads, f"{prefix}.fuse_w", dfuse_w)
     dsp = dcat[..., :cr]
     dfr = dcat[..., cr:]
-    ddown_f, dgains = frequency_branch_bwd(dfr, c_fr)
+    ddown_f, dgains = spectral.frequency_branch_bwd(dfr, c_fr)
     acc_grad(grads, f"{prefix}.gains_log", dgains * gains)
     ddown_s, dk = spatial_branch_bwd(dsp, c_sp)
     acc_grad(grads, f"{prefix}.dw_k", dk)

@@ -38,8 +38,11 @@ def _rejection(pname: str, grad, value) -> str:
     return ""
 
 
-def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
-               name: str = "fn", max_coords_per_param: int | None = None,
+EPS = 1e-4  # central-difference step
+TOL = 1e-4  # largest relative error a passing check may show
+
+
+def grad_check(fn, params: dict, name: str = "fn", max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> GradCheckReport:
     """Compare fn's analytic gradients with central differences.
 
@@ -53,9 +56,9 @@ def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
     try:
         loss, grads = fn(work)
     except FloatingPointError as exc:
-        return GradCheckReport(name, float("inf"), {}, False, tol, f"forward raised: {exc}")
+        return GradCheckReport(name, float("inf"), {}, False, TOL, f"forward raised: {exc}")
     if not np.isfinite(loss):
-        return GradCheckReport(name, float("inf"), {}, False, tol, "non-finite loss")
+        return GradCheckReport(name, float("inf"), {}, False, TOL, "non-finite loss")
 
     per_param: dict = {}
     max_err = 0.0
@@ -78,12 +81,12 @@ def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
         worst = 0.0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + eps
+            flat[c] = orig + EPS
             plus, _ = fn(work)
-            flat[c] = orig - eps
+            flat[c] = orig - EPS
             minus, _ = fn(work)
             flat[c] = orig
-            numeric = (plus - minus) / (2.0 * eps)
+            numeric = (plus - minus) / (2.0 * EPS)
             if not np.isfinite(numeric):
                 worst = float("inf")
                 detail = f"non-finite numeric gradient for {pname!r}[{c}]"
@@ -92,7 +95,7 @@ def grad_check(fn, params: dict, eps: float = 1e-4, tol: float = 1e-4,
         per_param[pname] = worst
         max_err = max(max_err, worst)
 
-    return GradCheckReport(name, max_err, per_param, bool(max_err <= tol), tol, detail)
+    return GradCheckReport(name, max_err, per_param, bool(max_err <= TOL), TOL, detail)
 
 
 def probe_weights(shape, seed=123) -> np.ndarray:

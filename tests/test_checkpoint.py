@@ -76,22 +76,8 @@ def test_group_sha_changes_with_values(rng):
 def test_descriptor_dump_roundtrip(tmp_path, rng):
     vecs = rng.normal(size=(7, 16))
     path = tmp_path / "d.bin"
-    ck.save_descriptors(path, vecs, precision=8)
+    ck.save_descriptors(path, vecs)
     np.testing.assert_array_equal(ck.load_descriptors(path), vecs)
-
-
-def test_descriptor_dump_single_precision(tmp_path, rng):
-    vecs = rng.normal(size=(5, 8))
-    path = tmp_path / "d32.bin"
-    ck.save_descriptors(path, vecs, precision=4)
-    loaded = ck.load_descriptors(path)
-    assert loaded.dtype == np.float32
-    np.testing.assert_allclose(loaded, vecs, atol=1e-6)
-
-
-def test_descriptor_dump_rejects_bad_precision(tmp_path, rng):
-    with pytest.raises(ck.CheckpointError):
-        ck.save_descriptors(tmp_path / "x.bin", rng.normal(size=(2, 2)), precision=2)
 
 
 def test_descriptor_dump_rejects_bad_magic(tmp_path):
@@ -150,7 +136,7 @@ def test_checkpoint_huge_shape_is_truncation_not_allocation(tmp_path, rng):
         ck.load_checkpoint(_patched(path, data, shape_at, (2 ** 62).to_bytes(8, "little")))
 
 
-@pytest.mark.parametrize("precision", [0, 3, 7, 255])
+@pytest.mark.parametrize("precision", [0, 3, 4, 7, 255])
 def test_descriptor_dump_rejects_unknown_precision_byte(tmp_path, rng, precision):
     path = tmp_path / "d.bin"
     ck.save_descriptors(path, rng.normal(size=(3, 3)))

@@ -275,6 +275,12 @@ def test_gradcheck_scoped_run(capsys):
     assert "PASS" in out and "trainer.triplet_loss" in out
 
 
+def test_gradcheck_spectral_runs_the_one_branch_check(capsys):
+    assert main(["gradcheck", "spectral"]) == 0
+    out = capsys.readouterr().out
+    assert "spectral.frequency_branch" in out and "1/1 checks passed" in out
+
+
 def test_gradcheck_inject_bug_fails(capsys):
     assert main(["gradcheck", "cnn", "--inject-bug"]) == 2
     assert "FAIL" in capsys.readouterr().out

@@ -458,22 +458,35 @@ def test_ops_preserve_finiteness(rng, scale):
 # ---------------------------------------------------------------------------
 
 _TOY = ModelConfig.toy()
-# op name -> (side of the square map it is given, call on that map)
+
+
+def _branch_bwd(dy):
+    """The frequency branch's backward, handed dy of any rank after a valid forward."""
+    _, cache = spectral.frequency_branch_fwd(np.ones((1,) + dy.shape[-3:]), np.ones(dy.shape[-3:]))
+    return spectral.frequency_branch_bwd(dy, cache)
+
+
+# case -> (op named in the error, side of the square map it is given, call on that map).
+# The frequency branch's forward (x) and backward (dy) each take the DFT of
+# the map they are handed and return its inverse DFT; their cases keep the
+# names of the dft2d and idft2d ops the branch replaced.
 _MAP_OPS = {
-    "conv2d": (4, lambda x: ops.conv2d_fwd(x, np.ones((1, 3, 1, 1)))),
-    "depthwise_conv2d": (4, lambda x: ops.depthwise_conv2d_fwd(x, np.ones((3, 3, 3)))),
-    "avg_pool2d": (4, lambda x: ops.avg_pool2d_fwd(x, 2)),
-    "bilinear_resize": (4, lambda x: ops.bilinear_resize_fwd(x, 3, 3)),
-    "gem_pool": (4, ops.gem_pool_fwd),
-    "dft2d": (4, spectral.dft2d_fwd),
-    "idft2d": (4, lambda x: spectral.idft2d_fwd(spectral.ComplexGrid(x, x))),
-    "patch_embed": (_TOY.image_size, lambda x: vit.patch_embed_fwd(x, {}, _TOY)),
+    "conv2d": ("conv2d", 4, lambda x: ops.conv2d_fwd(x, np.ones((1, 3, 1, 1)))),
+    "depthwise_conv2d": ("depthwise_conv2d", 4,
+                         lambda x: ops.depthwise_conv2d_fwd(x, np.ones((3, 3, 3)))),
+    "avg_pool2d": ("avg_pool2d", 4, lambda x: ops.avg_pool2d_fwd(x, 2)),
+    "bilinear_resize": ("bilinear_resize", 4, lambda x: ops.bilinear_resize_fwd(x, 3, 3)),
+    "gem_pool": ("gem_pool", 4, ops.gem_pool_fwd),
+    "dft2d": ("frequency_branch", 4,
+              lambda x: spectral.frequency_branch_fwd(x, np.ones(x.shape[-3:]))),
+    "idft2d": ("frequency_branch", 4, _branch_bwd),
+    "patch_embed": ("patch_embed", _TOY.image_size, lambda x: vit.patch_embed_fwd(x, {}, _TOY)),
 }
 
 
 @pytest.mark.parametrize("lead", [(), (1, 1)], ids=["3-d", "5-d"])
 @pytest.mark.parametrize("name", list(_MAP_OPS))
 def test_map_ops_take_only_batched_maps(name, lead):
-    side, call = _MAP_OPS[name]
-    with pytest.raises(ops.ShapeError, match=f"^{name}: expected a \\(B, H, W, C\\) map"):
+    op, side, call = _MAP_OPS[name]
+    with pytest.raises(ops.ShapeError, match=f"^{op}: expected a \\(B, H, W, C\\) map"):
         call(np.ones(lead + (side, side, 3)))

@@ -1,10 +1,10 @@
-"""Spectral transform tests: DFT identities and amplitude modulation."""
+"""Frequency-branch tests: DFT-matrix identities and the branch as a filter."""
 
 import numpy as np
 import pytest
 
-from lgcn import spectral
-from lgcn.fsa import frequency_branch_bwd, frequency_branch_fwd
+from lgcn import ops, spectral
+from lgcn.spectral import frequency_branch_bwd, frequency_branch_fwd
 
 
 def dft2d_loop_ref(x):
@@ -19,19 +19,34 @@ def dft2d_loop_ref(x):
     return out
 
 
+def dft2d(x):
+    """Complex spectrum of a (B, H, W, C) map through the cached DFT matrix."""
+    B, H, W, C = x.shape
+    n = H * W
+    spec = spectral._dft_matrix(H, W) @ x.reshape(B, n, C)
+    return (spec[:, :n] + 1j * spec[:, n:]).reshape(x.shape)
+
+
+def idft2d(z):
+    """Real part of the inverse DFT through the transposed DFT matrix."""
+    B, H, W, C = z.shape
+    n = H * W
+    spec = np.concatenate([z.real.reshape(B, n, C), z.imag.reshape(B, n, C)], axis=1)
+    return (spectral._dft_matrix(H, W).T @ spec / n).reshape(z.shape)
+
+
 def test_dft_matches_loop_reference(rng):
     x = rng.normal(size=(4, 4, 2))
-    grid, _ = spectral.dft2d_fwd(x[None])
+    z = dft2d(x[None])[0]
     ref = dft2d_loop_ref(x)
-    assert np.abs(grid.re - ref.real).max() < 1e-10
-    assert np.abs(grid.im - ref.imag).max() < 1e-10
+    assert np.abs(z.real - ref.real).max() < 1e-10
+    assert np.abs(z.imag - ref.imag).max() < 1e-10
 
 
 def test_constant_map_has_dc_only_spectrum():
     c = 3.25
     x = np.full((6, 5, 2), c)
-    grid, _ = spectral.dft2d_fwd(x[None])
-    amp = grid.amplitude()[0]
+    amp = np.abs(dft2d(x[None]))[0]
     np.testing.assert_allclose(amp[0, 0], c * 6 * 5, atol=1e-9)
     rest = amp.copy()
     rest[0, 0] = 0.0
@@ -41,44 +56,46 @@ def test_constant_map_has_dc_only_spectrum():
 def test_impulse_has_flat_amplitude_spectrum():
     x = np.zeros((8, 8, 1))
     x[3, 5, 0] = 1.0
-    grid, _ = spectral.dft2d_fwd(x[None])
-    np.testing.assert_allclose(grid.amplitude(), 1.0, atol=1e-9)
+    np.testing.assert_allclose(np.abs(dft2d(x[None])), 1.0, atol=1e-9)
 
 
 def test_roundtrip_and_parseval(rng):
     x = rng.normal(size=(8, 8, 3))
-    grid, _ = spectral.dft2d_fwd(x[None])
-    back, _ = spectral.idft2d_fwd(grid)
-    assert np.abs(back - x).max() < 1e-9
+    z = dft2d(x[None])
+    assert np.abs(idft2d(z)[0] - x).max() < 1e-9
     spatial = (x ** 2).sum()
-    freq = (grid.re ** 2 + grid.im ** 2).sum() / (8 * 8)
+    freq = (np.abs(z) ** 2).sum() / (8 * 8)
     assert abs(spatial - freq) / spatial < 1e-9
 
 
 def test_batched_matches_per_image(rng):
     x = rng.normal(size=(3, 4, 4, 2))
-    grid, _ = spectral.dft2d_fwd(x)
+    z = dft2d(x)
     for b in range(3):
-        gb, _ = spectral.dft2d_fwd(x[b:b + 1])
-        np.testing.assert_allclose(grid.re[b:b + 1], gb.re, atol=1e-12)
-        np.testing.assert_allclose(grid.im[b:b + 1], gb.im, atol=1e-12)
+        np.testing.assert_allclose(z[b:b + 1], dft2d(x[b:b + 1]), atol=1e-12)
 
 
 def test_amplitude_modulate_scales_modulus_preserves_phase(rng):
-    x = rng.normal(size=(4, 4, 2))
-    grid, _ = spectral.dft2d_fwd(x[None])
-    gains = np.exp(rng.normal(size=(4, 4, 2)) * 0.5)
-    out, _ = spectral.amplitude_modulate_fwd(grid, gains)
-    np.testing.assert_allclose(out.amplitude(), grid.amplitude() * gains, atol=1e-9)
+    """Bin k of the output is bin k of the input times (g[k] + g[-k]) / 2.
+
+    Taking the real part pairs each bin with its mirror, so the effective
+    gain is real and positive: the modulus scales and the phase is kept.
+    """
+    x = rng.normal(size=(1, 4, 5, 2))
+    gains = np.exp(rng.normal(size=(4, 5, 2)) * 0.5)
+    y, _ = frequency_branch_fwd(x, gains)
+    mirrored = np.roll(np.flip(gains, axis=(0, 1)), 1, axis=(0, 1))  # g[-u, -v]
+    effective = (gains + mirrored) / 2
+    zx, zy = np.fft.fft2(x, axes=(1, 2)), np.fft.fft2(y, axes=(1, 2))
+    np.testing.assert_allclose(np.abs(zy), np.abs(zx) * effective, rtol=0, atol=1e-9)
     # phase comparison only where the modulus is meaningfully nonzero
-    mask = grid.amplitude() > 1e-9
-    np.testing.assert_allclose(out.phase()[mask], grid.phase()[mask], atol=1e-12)
+    mask = np.abs(zx) > 1e-6
+    np.testing.assert_allclose(np.angle(zy * np.conj(zx))[mask], 0.0, atol=1e-9)  # no wrap at +-pi
 
 
 def test_amplitude_modulate_shape_check(rng):
-    grid, _ = spectral.dft2d_fwd(rng.normal(size=(4, 4, 2))[None])
-    with pytest.raises(ValueError):
-        spectral.amplitude_modulate_fwd(grid, np.ones((4, 4, 3)))
+    with pytest.raises(ops.ShapeError, match="^frequency_branch: gain field"):
+        frequency_branch_fwd(rng.normal(size=(1, 4, 4, 2)), np.ones((4, 4, 3)))
 
 
 def test_frequency_branch_unit_gains_is_identity(rng):
@@ -111,10 +128,9 @@ def test_frequency_branch_dc_boost_oracle(rng):
     gains[0, 0, 0] = 3.0
     (y,), _ = frequency_branch_fwd(x[None], gains)
 
-    grid, _ = spectral.dft2d_fwd(x[None])
-    spec = (grid.re + 1j * grid.im)[0]
-    spec[0, 0, 0] *= 3.0
-    ref = np.fft.ifft2(spec[:, :, 0]).real[:, :, None]
+    spec = np.fft.fft2(x[:, :, 0])
+    spec[0, 0] *= 3.0
+    ref = np.fft.ifft2(spec).real[:, :, None]
     assert np.abs(y - ref).max() < 1e-9
     # impulse shape preserved: subtracting the new mean leaves the old residue
     np.testing.assert_allclose(y - y.mean(), x - x.mean(), atol=1e-9)
@@ -139,14 +155,20 @@ def test_frequency_branch_rejects_non_finite_gains(rng, bad):
 def test_dft_and_idft_match_numpy_fft(rng, shape):
     """Non-square grids pin the Kronecker order of the 2-d DFT matrix."""
     x = rng.normal(size=shape)
-    grid, _ = spectral.dft2d_fwd(x)
-    ref = np.fft.fft2(x, axes=(-3, -2))
-    np.testing.assert_allclose(grid.re, ref.real, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grid.im, ref.imag, rtol=0, atol=1e-12)
-    re, im = rng.normal(size=shape), rng.normal(size=shape)
-    y, _ = spectral.idft2d_fwd(spectral.ComplexGrid(re, im))
-    np.testing.assert_allclose(y, np.fft.ifft2(re + 1j * im, axes=(-3, -2)).real,
+    np.testing.assert_allclose(dft2d(x), np.fft.fft2(x, axes=(-3, -2)), rtol=0, atol=1e-12)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    np.testing.assert_allclose(idft2d(z), np.fft.ifft2(z, axes=(-3, -2)).real,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 2), (1, 8, 8, 32)])
+def test_frequency_branch_matches_numpy_fft(rng, shape):
+    """The branch is Re(ifft2(g * fft2(x))); a non-square map pins the bin order."""
+    x = rng.normal(size=shape)
+    gains = np.exp(rng.normal(size=shape[1:]) * 0.5)
+    y, _ = frequency_branch_fwd(x, gains)
+    ref = np.fft.ifft2(gains * np.fft.fft2(x, axes=(1, 2)), axes=(1, 2)).real
+    np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12)
 
 
 def test_dft_matrix_is_cached_and_read_only():
