@@ -1,10 +1,10 @@
 """On-disk formats: parameter checkpoints and descriptor dumps.
 
 Checkpoint layout: magic, version, a JSON header with the model config,
-then a flat archive of named tensors (UTF-8 name, shape, raw little-endian
-scalars). Descriptor dumps: magic, version, count, dim, precision byte 8,
-then row-major little-endian float64 vectors. Every file is written through
-atomic_write.
+then a flat archive of named tensors (UTF-8 name, dtype code 0, shape, raw
+little-endian float64 scalars). Descriptor dumps: magic, version, count, dim,
+precision byte 8, then row-major little-endian float64 vectors. Every file is
+written through atomic_write.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ DESC_MAGIC = b"LGCNDESC"
 CKPT_VERSION = 1
 DESC_VERSION = 1
 _DESC_HEAD = "<IQQB"  # version, count, dim, precision (bytes per scalar: 8)
-
-_DTYPE_CODES = {0: "<f8", 1: "<f4"}
-_DTYPE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
 
 class CheckpointError(ValueError):
@@ -57,15 +54,13 @@ def save_checkpoint(path, params: dict, header: dict) -> None:
         fh.write(head)
         fh.write(struct.pack("<Q", len(params)))
         for name, value in params.items():
-            arr = np.asarray(value)  # keeps a 0-d tensor's rank; tobytes() is C order
-            if arr.dtype not in _DTYPE_FOR:
-                arr = arr.astype(np.float64)
+            arr = np.asarray(value, dtype="<f8")  # keeps a 0-d tensor's rank; C order
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
-            fh.write(struct.pack("<B", _DTYPE_FOR[arr.dtype]))
+            fh.write(struct.pack("<B", 0))
             fh.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-            fh.write(arr.astype(_DTYPE_CODES[_DTYPE_FOR[arr.dtype]]).tobytes())
+            fh.write(arr.tobytes())
 
 
 def _read(fh, n: int, what: str) -> bytes:
@@ -100,14 +95,14 @@ def load_checkpoint(path):
         for _ in range(count):
             name = _read(fh, _unpack(fh, "<I", "name length"), "tensor name").decode("utf-8")
             code = _unpack(fh, "<B", f"dtype of {name!r}")
-            if code not in _DTYPE_CODES:
-                raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
-            dtype = np.dtype(_DTYPE_CODES[code])
+            if code != 0:
+                raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r} "
+                                      "(only code 0, float64, is read)")
             ndim = _unpack(fh, "<I", f"rank of {name!r}")
             shape = tuple(_unpack(fh, "<Q", f"shape of {name!r}") for _ in range(ndim))
             n = math.prod(shape)
-            data = np.frombuffer(_read(fh, n * dtype.itemsize, f"tensor {name!r}"), dtype=dtype)
-            params[name] = data.reshape(shape).astype(dtype.newbyteorder("="))
+            data = np.frombuffer(_read(fh, n * 8, f"tensor {name!r}"), dtype="<f8")
+            params[name] = data.reshape(shape).astype(np.float64)
         return params, header
 
 

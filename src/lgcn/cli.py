@@ -212,6 +212,9 @@ def cmd_eval(args) -> int:
     q_records = [records[i] for i in q_idx]
     db_desc = compute_descriptors(images[db_idx], params, mcfg)
     q_desc = compute_descriptors(images[q_idx], params, mcfg)
+    if not (np.all(np.isfinite(db_desc)) and np.all(np.isfinite(q_desc))):
+        raise FloatingPointError("eval: the descriptors hold NaN or infinite values; the "
+                                 "checkpoint's weights overflow the forward")
     k = min(max(ns), len(db_records))
     topk, sims = search(q_desc, db_desc, [r.id for r in db_records], k)
     result = recall_at_n(topk, q_records, db_records, ns, threshold_m=args.threshold)

@@ -193,4 +193,9 @@ def stream_maps(image, params, cfg: ModelConfig) -> dict:
     _, fvit, fres, omega, fused = _streams_forward(image[None], params, cfg, fusion_of(params),
                                                    set(), keep=False)
     maps = {"fvit": fvit, "fres": fres, "omega": omega, "fused": fused}
-    return {name: m[0] for name, m in maps.items() if m is not None}
+    maps = {name: m[0] for name, m in maps.items() if m is not None}
+    bad = [name for name, m in maps.items() if not np.all(np.isfinite(m))]
+    if bad:
+        raise FloatingPointError(f"stream_maps: the {', '.join(bad)} maps hold NaN or "
+                                 "infinite values; the weights overflow the forward")
+    return maps

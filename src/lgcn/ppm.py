@@ -63,6 +63,8 @@ _STOPS = np.array([
 
 def colormap(values: np.ndarray) -> np.ndarray:
     """Map scalars in [0, 1] to RGB via the fixed gradient."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("colormap: values hold NaN or infinite entries")
     v = np.clip(values, 0.0, 1.0)
     pos = v * (len(_STOPS) - 1)
     lo = np.minimum(np.floor(pos).astype(int), len(_STOPS) - 2)

@@ -122,11 +122,31 @@ def similarities(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
 def rank(sims: np.ndarray, ids, k: int) -> np.ndarray:
     """Column indices of each row's k highest similarities, best first.
 
-    Equal similarities rank by ascending id: the columns go into id order once,
-    and the stable sort keeps that order within every tie. NaN ranks last.
+    Columns rank by descending similarity, then by ascending id; NaN ranks
+    last. The columns go into id order once. Each row keeps the columns
+    strictly better than its k-th value, then the lowest-id columns equal to
+    it (a NaN k-th value ties with NaN) until there are k, and stable-sorts
+    only those.
     """
     by_id = np.argsort(np.asarray(ids), kind="stable")
-    return by_id[np.argsort(-sims[:, by_id], axis=1, kind="stable")[:, :k]]
+    neg = np.take(sims, by_id, axis=1)
+    np.negative(neg, out=neg)
+    n, m = neg.shape
+    if not 0 < k < m:
+        return by_id[np.argsort(neg, axis=1, kind="stable")[:, :k]]
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    better, tied = neg < kth, neg == kth
+    short = np.isnan(kth[:, 0])  # rows with fewer than k numbers
+    if short.any():
+        tied[short] = np.isnan(neg[short])
+        better[short] = ~tied[short]
+    need = k - better.sum(axis=1)
+    over = tied.sum(axis=1) > need
+    if over.any():
+        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+    flat = np.flatnonzero(better | tied).reshape(n, k)  # k per row, in id order
+    order = np.argsort(neg.ravel()[flat], axis=1, kind="stable")
+    return by_id[np.take_along_axis(flat, order, axis=1) % m]
 
 
 def search(queries: np.ndarray, database: np.ndarray, db_ids, k: int):
@@ -207,14 +227,16 @@ def recall_at_n(topk_ids, query_records, db_records, n_values,
     n_values = sorted(int(n) for n in n_values)
     gt = ground_truth_sets(query_records, db_records, threshold_m)
     column = {d.id: j for j, d in enumerate(db_records)}
+    try:
+        cols = np.array([column[i] for ids in topk_ids for i in ids], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"recall_at_n: {exc.args[0]!r} is not a database id") from None
+    depth = np.array([len(ids) for ids in topk_ids], dtype=np.intp)
+    rows = np.repeat(np.arange(len(depth)), depth)
+    hits = np.flatnonzero(gt[rows, cols])
+    hit_rows, first = np.unique(rows[hits], return_index=True)  # each row's first hit
     first_hit = np.full(len(query_records), np.inf)  # rank of each query's first match
-    for qi, ids in enumerate(topk_ids):
-        try:
-            hits = np.flatnonzero(gt[qi, [column[i] for i in ids]])
-        except KeyError as exc:
-            raise ValueError(f"recall_at_n: {exc.args[0]!r} is not a database id") from None
-        if hits.size:
-            first_hit[qi] = hits[0]
+    first_hit[hit_rows] = hits[first] - (np.cumsum(depth) - depth)[hit_rows]
     valid = gt.any(axis=1)
     evaluated = int(valid.sum())
     if evaluated == 0:

@@ -10,7 +10,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     params = {
         "vit.patch.proj_w": rng.normal(size=(12, 4)),
         "fsa.block0.scale": np.array(0.1),
-        "head.attn.wo": np.zeros((4, 4), dtype=np.float32),
+        "head.attn.wo": np.zeros((4, 4)),
     }
     header = {"model": {"preset": "toy"}, "ablation": {"disable_fsa": False}}
     path = tmp_path / "model.ckpt"
@@ -20,7 +20,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert list(loaded) == list(params)
     for name in params:
         np.testing.assert_array_equal(loaded[name], params[name])
-        assert loaded[name].dtype == params[name].dtype
+        assert loaded[name].dtype == np.float64
 
 
 def test_model_checkpoint_round_trips_every_shape(tmp_path):
@@ -112,6 +112,19 @@ def test_checkpoint_rejects_unknown_dtype_code(tmp_path, rng):
     assert data[dtype_at] == 0
     with pytest.raises(ck.CheckpointError, match="unknown dtype code 7"):
         ck.load_checkpoint(_patched(path, data, dtype_at, b"\x07"))
+
+
+def test_checkpoint_is_float64_only(tmp_path, rng):
+    # a float32 tensor is written as float64; the old float32 code 1 no longer reads
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(path, {"w": np.array([0.1, 2.5], dtype=np.float32)}, {})
+    loaded, _ = ck.load_checkpoint(path)
+    assert loaded["w"].dtype == np.float64 and loaded["w"].tolist() == [np.float32(0.1), 2.5]
+    path, data = _valid_checkpoint(tmp_path, rng)
+    hlen = int.from_bytes(data[12:16], "little")
+    dtype_at = 16 + hlen + 8 + 4 + len(b"w")
+    with pytest.raises(ck.CheckpointError, match="unknown dtype code 1 for 'w'"):
+        ck.load_checkpoint(_patched(path, data, dtype_at, b"\x01"))
 
 
 @pytest.mark.parametrize("head", [b"!", b"\xff"])  # not JSON; not UTF-8

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from lgcn.checkpoint import load_checkpoint
 from lgcn.cli import main
-from lgcn.config import load_run_config, run_config_to_dict
+from lgcn.config import load_run_config, run_config_from_dict, run_config_to_dict
 from lgcn.model import fusion_of, init_model
 
 TINY_MODEL = {"preset": "toy", "image_size": 32, "patch_size": 8, "embed_dim": 16,
@@ -435,6 +436,30 @@ def test_non_finite_checkpoint_tensor_is_runtime_error(tmp_path, world, trained,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "NaN or infinite" in err and "cnn.align.w" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "heatmap"])
+def test_overflowing_checkpoint_is_runtime_error(tmp_path, world, capsys, command):
+    # finite weights that overflow the forward: eval wrote recalls from NaN
+    # descriptors and exited 0, and heatmap's colormap raised an IndexError
+    from lgcn.checkpoint import save_checkpoint
+    cfg = run_config_from_dict({"model": TINY_MODEL})
+    params = init_model(cfg.model, cfg.ablation, seed=0)
+    params["vit.block1.ffn.w2"] = params["vit.block1.ffn.w2"] * 1e250
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, params, {"model": dataclasses.asdict(cfg.model),
+                                   "ablation": dataclasses.asdict(cfg.ablation)})
+    out = tmp_path / "out"
+    out.mkdir()
+    args = (["--data", str(world), "--out", str(out / "r.json"), "--per-query",
+             str(out / "q.csv"), "--dump-descriptors", str(out / "d.desc")]
+            if command == "eval" else
+            ["--image", str(world / "images" / "p0000_v0.ppm"), "--out", str(out / "h")])
+    with pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
+        assert main([command, "--checkpoint", str(ckpt), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, trained):

@@ -300,6 +300,15 @@ def test_stream_maps_names(rng):
     assert set(vit_only) == {"fvit", "fused"}
 
 
+def test_stream_maps_reject_non_finite_maps(rng):
+    cfg = tiny_cfg()
+    params = init_model(cfg, AblationFlags(), seed=3)
+    for name in ("cnn.stage3.w", "cnn.align.w"):  # finite weights whose product overflows
+        params[name] = params[name] * 1e200
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="stream_maps"):
+        stream_maps(rng.random((32, 32, 3)), params, cfg)
+
+
 def test_response_scalar_ranges(rng):
     fmap = rng.normal(size=(4, 4, 8))
     s = response_scalar("fvit", fmap)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgcn import retrieval as rv
@@ -127,6 +127,30 @@ def test_search_matches_full_sort_oracle(seed, n, k, copies, grid):
         assert topk[qi] == [sid for _, sid in scored[:k]]
 
 
+def two_argsort_rank(sims, ids, k):
+    """The reference: both stable argsorts run over every full row."""
+    by_id = np.argsort(np.asarray(ids), kind="stable")
+    return by_id[np.argsort(-sims[:, by_id], axis=1, kind="stable")[:, :k]]
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, n=0, m=7, special=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 12), m=st.integers(1, 40),
+       special=st.booleans())
+def test_rank_matches_two_argsort_reference(seed, n, m, special):
+    gen = np.random.default_rng(seed)
+    sims = gen.integers(-2, 3, size=(n, m)) / 4.0  # a quarter grid: ties in every row
+    if special:  # infinities and negative zeros, then half of every row NaN
+        for value, share in ((np.inf, 0.1), (-np.inf, 0.1), (-0.0, 0.2)):
+            sims[gen.random((n, m)) < share] = value
+        for row in sims:
+            row[gen.permutation(m)[:m // 2]] = np.nan
+    ids = shuffled_ids(gen, m)
+    for k in sorted({0, 1, m - 1, m, int(gen.integers(0, m + 1))}):
+        got, want = rv.rank(sims, ids, k), two_argsort_rank(sims, ids, k)
+        assert got.shape == want.shape == (n, k) and np.array_equal(got, want), k
+
+
 def test_search_clamps_k_with_warning(rng):
     db = unit_rows(rng.normal(size=(3, 4)))
     q = unit_rows(rng.normal(size=(1, 4)))
@@ -240,6 +264,32 @@ def test_recall_unknown_topk_id_is_value_error():
     q_records = [make_record("q0", 0.0, 0.0, split="query")]
     with pytest.raises(ValueError, match="'ghost' is not a database id"):
         rv.recall_at_n([["d0", "ghost"]], q_records, db_records, [1])
+
+
+def test_recall_ragged_rows_and_late_unknown_id(rng):
+    n_db, n_q, dim, ns = 30, 12, 6, [1, 2, 3, 5, 10]
+
+    def place():  # a few shared place ids, so most queries have several matches
+        p = int(rng.integers(0, 7))
+        return f"p{p}" if p < 5 else None
+
+    db_records = [make_record(f"d{i:02d}", float(rng.uniform(0, 0.01)),
+                              float(rng.uniform(0, 0.01)), place()) for i in range(n_db)]
+    q_records = [make_record(f"q{i:02d}", float(rng.uniform(0, 0.01)),
+                             float(rng.uniform(0, 0.01)), place(), "query")
+                 for i in range(n_q)]
+    db = unit_rows(rng.normal(size=(n_db, dim)))
+    qs = unit_rows(rng.normal(size=(n_q, dim)))
+    topk, _ = rv.search(qs, db, [r.id for r in db_records], k=n_db)
+    depths = [10, n_db] + rng.integers(10, n_db + 1, size=n_q - 2).tolist()
+    ragged = [row[:depth] for row, depth in zip(topk, depths)]
+    res = rv.recall_at_n(ragged, q_records, db_records, ns)
+    oracle, evaluated = brute_force_recall(qs, db, q_records, db_records, ns)
+    assert res.num_queries == evaluated
+    assert res.recalls == oracle
+    ragged[-1] = ragged[-1][:3] + ["ghost1"] + ragged[-1][3:] + ["ghost2"]
+    with pytest.raises(ValueError, match="'ghost1' is not a database id"):
+        rv.recall_at_n(ragged, q_records, db_records, ns)
 
 
 def test_search_invariant_under_database_permutation(rng):
