@@ -193,9 +193,17 @@ def _check_vit_block():
     _redraw(params, "fsa.block0.fuse_w", gen, 0.1)
     tokens = r.normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
     names = [k for k in params if k.startswith(("vit.block0", "fsa.block0"))]
-    return _module("vit.block_with_fsa",
-                   lambda x, p: vit.vit_block_fwd(x, p, "vit.block0", cfg, "fsa.block0"),
-                   vit.vit_block_bwd, params, names, {"tokens": tokens}, 10)
+
+    def fwd(x, p):  # the block and its adapter, as vit_forward joins them
+        y, h2, c_blk = vit.vit_block_fwd(x, p, "vit.block0", cfg, True)
+        ad, c_fsa = fsa.fsa_forward(h2, p, "fsa.block0", cfg)
+        return y + ad, (c_blk, c_fsa)
+
+    def bwd(dy, cache, p, grads):
+        c_blk, c_fsa = cache
+        return vit.vit_block_bwd(dy, c_blk, grads, dh2=fsa.fsa_backward(dy, c_fsa, p, grads))
+
+    return _module("vit.block_with_fsa", fwd, bwd, params, names, {"tokens": tokens}, 10)
 
 
 def _check_vit_full():

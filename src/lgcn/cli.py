@@ -159,13 +159,19 @@ def _load_model(path):
     return params, cfg.model
 
 
-def _ablated(params, args):
-    """The checkpoint's parameters less the groups the ablation flags drop."""
-    if args.disable_cnn_stream and fusion_of(params) == "concat":
-        raise UsageError("cannot disable the CNN stream of a concat-fusion checkpoint "
-                         "(the head expects concatenated channels)")
+def _ablated(params, mcfg, args):
+    """The checkpoint's parameters less the groups the ablation flags drop.
+
+    The rest must be a variant param_spec builds: a head as wide as its fusion's input."""
     drop = dropped_groups(args)
-    return {n: v for n, v in params.items() if not n.startswith(drop)}
+    params = {n: v for n, v in params.items() if not n.startswith(drop)}
+    fusion = fusion_of(params)
+    width = (2 if fusion == "concat" else 1) * mcfg.embed_dim
+    have = params["head.attn.wq"].shape[0]
+    if have != width:
+        raise UsageError(f"the ablation flags leave a {fusion} fusion, whose head reads {width} "
+                         f"channels, but this checkpoint's head reads {have}")
+    return params
 
 
 def _brute_force_recall(q_desc, db_desc, db_ids, query_records, db_records, ns, threshold):
@@ -201,7 +207,7 @@ def cmd_eval(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise UsageError(f"--threshold must be a finite distance >= 0 m, got {args.threshold}")
     params, mcfg = _load_model(args.checkpoint)
-    params = _ablated(params, args)
+    params = _ablated(params, mcfg, args)
     records, images = load_dataset(args.data)
     if images.shape[1] != mcfg.image_size:
         raise ConfigError(f"dataset images are {images.shape[1]}px but the checkpoint expects "
@@ -270,7 +276,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_heatmap(args) -> int:
     params, mcfg = _load_model(args.checkpoint)
-    params = _ablated(params, args)
+    params = _ablated(params, mcfg, args)
     image = read_ppm(args.image)
     if image.shape[0] != mcfg.image_size or image.shape[1] != mcfg.image_size:
         raise ConfigError(f"image is {image.shape[0]}x{image.shape[1]} but the checkpoint "

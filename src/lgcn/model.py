@@ -17,17 +17,13 @@ from .params import acc_grad, draw
 def fusion_of(params) -> str:
     """The fusion a parameter dict encodes: the inverse of param_spec.
 
-    No CNN stream is "vit-only" and a DFM group is "dfm". Otherwise the head
-    width decides: the two streams' channels side by side is "concat", one
-    stream's worth is "sum" (the DFM dropped from a gated model at eval time).
+    No CNN stream is "vit-only", a DFM group is "dfm", and a CNN stream
+    without one is "concat".
     """
     groups = {name.split(".", 1)[0] for name in params}
     if "cnn" not in groups:
         return "vit-only"
-    if "dfm" in groups:
-        return "dfm"
-    concat = params["head.attn.wq"].shape[0] == 2 * params["cnn.align.w"].shape[0]
-    return "concat" if concat else "sum"
+    return "dfm" if "dfm" in groups else "concat"
 
 
 def descriptor_dim(params) -> int:
@@ -111,10 +107,8 @@ def _streams_forward(images, params, cfg: ModelConfig, fusion: str, trainable, k
         if fusion == "dfm":
             fused, c_dfm = dfm.dfm_forward(fvit, fres, params)
             omega = c_dfm[2]
-        elif fusion == "concat":
+        else:
             fused = np.concatenate([fvit, fres], axis=-1)
-        else:  # sum: the DFM group dropped at eval time
-            fused = fvit + fres
     if not keep:
         c_align = c_dfm = None
     return (c_vit, c_cnn, c_align, c_dfm), fvit, fres, omega, fused
@@ -149,11 +143,9 @@ def _streams_backward(dfused, caches, fusion: str, params, trainable) -> dict:
         dfvit, dfres = dfused, None
     elif fusion == "dfm":
         dfvit, dfres = dfm.dfm_backward(dfused, c_dfm, params, grads)
-    elif fusion == "concat":
+    else:
         d = dfused.shape[-1] // 2
         dfvit, dfres = dfused[..., :d], dfused[..., d:]
-    else:
-        dfvit, dfres = dfused, dfused
     if dfres is not None:
         dfres_raw = cnn.align_backward(dfres, c_align, grads)
         cnn.cnn_backward(dfres_raw, c_cnn, grads, image_grad=trainable is None)

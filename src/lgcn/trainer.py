@@ -30,7 +30,7 @@ RECALL_NS = (1, 5, 10)
 
 
 class NanLossError(RuntimeError):
-    """Raised when the training loss goes non-finite."""
+    """Raised when the training loss or the validation descriptors go non-finite."""
 
 
 @dataclass
@@ -149,10 +149,14 @@ class TrainReport:
     timings: list[dict] = field(default_factory=list)
 
 
-def _val_recall(params, cfg, db_records, db_images, q_records, q_images):
-    """Query->database Recall@N, and the database descriptors it encoded."""
+def _val_recall(params, cfg, db_records, db_images, q_records, q_images, epoch, out_dir):
+    """Query->database Recall@N and the database descriptors; NanLossError if non-finite."""
     db_desc = model_mod.compute_descriptors(db_images, params, cfg)
     q_desc = model_mod.compute_descriptors(q_images, params, cfg)
+    if not (np.all(np.isfinite(db_desc)) and np.all(np.isfinite(q_desc))):
+        if out_dir:
+            _dump_nan_diag(out_dir, epoch, None, params)
+        raise NanLossError(f"non-finite validation descriptors at epoch {epoch}")
     k = min(max(RECALL_NS), len(db_records))
     topk, _ = search(q_desc, db_desc, [r.id for r in db_records], k)
     res = recall_at_n(topk, q_records, db_records, RECALL_NS)
@@ -179,7 +183,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     report = TrainReport()
     header = {"model": dataclasses.asdict(cfg), "ablation": dataclasses.asdict(ablation)}
 
-    recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images)
+    recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
+                                   0, out_dir)
     report.rows.append({"epoch": 0, "loss": None, "triplets": None, "skipped": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
@@ -221,7 +226,8 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             grads: dict = {}
             model_mod.model_backward(ddesc, tape, params, grads)
             opt.step(params, grads)
-        recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images)
+        recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records,
+                                       q_images, epoch, out_dir)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
         report.rows.append({"epoch": epoch, "loss": epoch_loss, "triplets": len(triplets),
                             "skipped": mined.skipped,

@@ -2,8 +2,9 @@
 
 Block layout: x <- x + MHSA(LN1(x)), then the feedforward and the adapter
 read the same LN2 output in parallel: x <- x + FFN(LN2(x)) + FSA(LN2(x)).
-Dropping the class token and reshaping the patch tokens yields the G x G x D
-feature map consumed by the fusion stage.
+The block is the frozen path alone: vit_forward adds each adapter's residual
+and keeps the caches. Dropping the class token and reshaping the patch
+tokens yields the G x G x D feature map consumed by the fusion stage.
 """
 
 from __future__ import annotations
@@ -138,55 +139,40 @@ def ffn_bwd(dy, cache, grads, trainable=None):
     return _linear_bwd(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", trainable)
 
 
-def vit_block_fwd(x, params, prefix, cfg, adapter_prefix=None, keep="all"):
-    """One block; keep says which caches its backward will read.
+def vit_block_fwd(x, params, prefix, cfg, keep: bool):
+    """The frozen block: (x2 + FFN(LN2(x2)), LN2(x2), cache), x2 = x + MHSA(LN1(x)).
 
-    "all": every op's; "adapter": only the adapter's (a block whose adapter
-    alone trains, with nothing trainable below it); None: no cache at all.
+    The caller adds the adapter's residual, read from LN2(x2). keep=False
+    returns no cache.
     """
-    full = keep == "all"
     h1, c_ln1 = ops.layernorm_fwd(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    att, c_att = mhsa_fwd(h1, params, f"{prefix}.attn", cfg.num_heads, full)
+    att, c_att = mhsa_fwd(h1, params, f"{prefix}.attn", cfg.num_heads, keep)
     x2 = x + att
     h2, c_ln2 = ops.layernorm_fwd(x2, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    ff, c_ffn = ffn_fwd(h2, params, f"{prefix}.ffn", full)
-    if adapter_prefix is not None:
-        ad, c_fsa = fsa.fsa_forward(h2, params, adapter_prefix, cfg)
-        y = x2 + ff + ad
-    else:
-        c_fsa = None
-        y = x2 + ff
-    if keep is None:
-        return y, None
-    if not full:
-        c_ln1 = c_ln2 = None
-    return y, (c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix)
+    ff, c_ffn = ffn_fwd(h2, params, f"{prefix}.ffn", keep)
+    return x2 + ff, h2, ((c_ln1, c_att, c_ln2, c_ffn, prefix) if keep else None)
 
 
-def vit_block_bwd(dy, cache, params, grads, trainable=None):
-    """Input gradient of a block; None for an adapter-only cache.
+def vit_block_bwd(dy, cache, grads, trainable=None, dh2=None):
+    """Input gradient of a block; dh2 is the adapter's gradient at LN2(x2), if any.
 
     A vit.* weight outside trainable (None: every name) gets no gradient.
-    A cache kept with keep="adapter" runs only the adapter's backward.
     """
-    c_ln1, c_att, c_ln2, c_ffn, c_fsa, prefix = cache
-    dadapter = fsa.fsa_backward(dy, c_fsa, params, grads) if c_fsa is not None else None
-    if c_ffn is None:
-        return None
-    dh2 = ffn_bwd(dy, c_ffn, grads, trainable)
-    if dadapter is not None:
-        dh2 = dh2 + dadapter
-    dx2 = _layernorm_bwd(dh2, c_ln2, grads, f"{prefix}.ln2", trainable) + dy
+    c_ln1, c_att, c_ln2, c_ffn, prefix = cache
+    dffn = ffn_bwd(dy, c_ffn, grads, trainable)
+    if dh2 is not None:
+        dffn = dffn + dh2
+    dx2 = _layernorm_bwd(dffn, c_ln2, grads, f"{prefix}.ln2", trainable) + dy
     dh1 = mhsa_bwd(dx2, c_att, grads, trainable)
     return _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", trainable) + dx2
 
 
 def first_trained_block(trainable, depth) -> int:
-    """The lowest block a backward limited to trainable (None: every name) runs.
+    """The cut: the lowest block a backward limited to trainable (None: every name) runs.
 
     That is the lowest block with a trainable vit.* or fsa.* name, block 0
-    when vit.patch.* trains, and depth when no ViT name trains. The blocks
-    below it need no cache.
+    when vit.patch.* trains, and depth when no ViT name trains. vit_forward
+    keeps no cache below it.
     """
     if wants_group(trainable, "vit.patch."):
         return 0
@@ -197,45 +183,44 @@ def first_trained_block(trainable, depth) -> int:
 def vit_forward(images, params, cfg, trainable=None):
     """Run the transformer stream; returns the patch-token map (B, G, G, D).
 
-    Block i runs its adapter when the fsa.block{i} group is in params. The
-    cache holds what vit_backward reads under trainable: everything for None,
-    nothing for an empty set.
+    Block i adds its fsa.block{i} adapter's residual, if params hold one, as
+    (x2 + FFN(LN2(x2))) + FSA(LN2(x2)). Under trainable, with the cut from
+    first_trained_block, block i keeps the adapter's cache for i >= cut, and
+    the frozen path's for i > cut or when vit.patch.* or its own vit.* train.
     """
     cut = first_trained_block(trainable, cfg.depth)
     patch = wants_group(trainable, "vit.patch.")
     tokens, c_embed = patch_embed_fwd(images, params, cfg)
-    if not patch:
-        c_embed = None
     block_caches = []
     for i in range(cfg.depth):
-        adapter = f"fsa.block{i}" if f"fsa.block{i}.scale" in params else None
-        if i < cut:
-            keep = None
-        elif i > cut or patch or wants_group(trainable, f"vit.block{i}."):
-            keep = "all"
-        else:
-            keep = "adapter"
-        tokens, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, adapter, keep)
-        block_caches.append(c_blk)
+        keep = i > cut or patch or wants_group(trainable, f"vit.block{i}.")
+        tokens, h2, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, keep)
+        c_fsa = None
+        if f"fsa.block{i}.scale" in params:
+            ad, c_fsa = fsa.fsa_forward(h2, params, f"fsa.block{i}", cfg)
+            tokens = tokens + ad
+        block_caches.append((c_blk, c_fsa if i >= cut else None))
     B = tokens.shape[0]
     g, d = cfg.grid, cfg.embed_dim
     fmap = tokens[:, 1:, :].reshape(B, g, g, d)
-    return fmap, (c_embed, block_caches, (B, g, d))
+    return fmap, (c_embed if patch else None, block_caches, (B, g, d))
 
 
 def vit_backward(dfmap, cache, params, grads, trainable=None):
     """Backpropagate the map gradient into grads; returns the image gradient.
 
-    It runs the blocks and the patch embed whose caches vit_forward kept.
-    trainable=None computes every gradient, the images' included. Given a
-    set, a vit.* weight outside it gets no gradient, and an empty array
-    stands in for the image gradient. Adapters it reaches always get theirs.
+    Top down, each kept adapter's backward runs, then its block's; the first
+    block without a frozen-path cache ends the blocks. trainable=None
+    computes every gradient, the images' included. Given a set, a vit.*
+    weight outside it gets no gradient, and an empty array stands in for the
+    image gradient. Adapters it reaches always get theirs.
     """
     c_embed, block_caches, (B, g, d) = cache
     dtokens = np.zeros((B, 1 + g * g, d), dtype=dfmap.dtype)
     dtokens[:, 1:, :] = dfmap.reshape(B, g * g, d)
-    for c_blk in reversed(block_caches):
-        if c_blk is None:  # below first_trained_block: nothing trains there
+    for c_blk, c_fsa in reversed(block_caches):
+        dh2 = None if c_fsa is None else fsa.fsa_backward(dtokens, c_fsa, params, grads)
+        if c_blk is None:
             break
-        dtokens = vit_block_bwd(dtokens, c_blk, params, grads, trainable)
+        dtokens = vit_block_bwd(dtokens, c_blk, grads, trainable, dh2)
     return np.empty(0) if c_embed is None else patch_embed_bwd(dtokens, c_embed, grads, trainable)

@@ -8,9 +8,12 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcn.checkpoint import load_checkpoint
 from lgcn.cli import main
@@ -237,14 +240,14 @@ def test_per_query_csv_reads_back_for_any_id(tmp_path, world, trained):
 
 def test_eval_ablation_flag_changes_descriptors(tmp_path, world, trained):
     ckpt = str(trained / "checkpoint-epoch001.ckpt")
-    plain, nodfm, nofsa = (tmp_path / n for n in ("p.json", "nd.json", "nf.json"))
+    plain, nocnn, nofsa = (tmp_path / n for n in ("p.json", "nc.json", "nf.json"))
     assert main(["eval", "--checkpoint", ckpt, "--data", str(world),
                  "--out", str(plain)]) == 0
     assert main(["eval", "--checkpoint", ckpt, "--data", str(world),
-                 "--out", str(nodfm), "--disable-dfm"]) == 0
+                 "--out", str(nocnn), "--disable-cnn-stream"]) == 0
     assert main(["eval", "--checkpoint", ckpt, "--data", str(world),
                  "--out", str(nofsa), "--disable-fsa"]) == 0
-    digests = {json.loads(p.read_text())["descriptor_sha256"] for p in (plain, nodfm, nofsa)}
+    digests = {json.loads(p.read_text())["descriptor_sha256"] for p in (plain, nocnn, nofsa)}
     assert len(digests) == 3
 
 
@@ -460,6 +463,42 @@ def test_overflowing_checkpoint_is_runtime_error(tmp_path, world, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "NaN or infinite" in err and "Traceback" not in err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def _mutated(data, mutation):
+    """A truncation (cut, None) or a byte flip (position, xor mask) of data."""
+    at, mask = mutation
+    if mask is None:
+        return data[:at]
+    return data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_checkpoint_exits_cleanly(tmp_path_factory, world, trained, data):
+    # Every mutation of a valid checkpoint loads and runs (0) or is a runtime
+    # error (2); nothing escapes main and no output file holds a NaN.
+    from lgcn.checkpoint import load_descriptors
+    good = (trained / "checkpoint-epoch001.ckpt").read_bytes()
+    mutation = data.draw(st.one_of(
+        st.tuples(st.integers(0, len(good) - 1), st.none()),
+        st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255))))
+    root = tmp_path_factory.mktemp("mutated")
+    ckpt, out = root / "m.ckpt", root / "out"
+    ckpt.write_bytes(_mutated(good, mutation))
+    out.mkdir()
+    with warnings.catch_warnings():  # a mutated weight may overflow the forward
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                     "--out", str(out / "r.json"), "--per-query", str(out / "q.csv"),
+                     "--dump-descriptors", str(out / "d.desc")]) in (0, 2)
+        assert main(["heatmap", "--checkpoint", str(ckpt), "--image",
+                     str(world / "images" / "p0000_v0.ppm"), "--out", str(out / "h")]) in (0, 2)
+    for path in out.rglob("*"):
+        if path.suffix in (".json", ".csv"):
+            assert "nan" not in path.read_text().lower(), path.name
+        elif path.suffix == ".desc":
+            assert np.all(np.isfinite(load_descriptors(path)))
 
 
 def test_legacy_static_fusion_header_evaluates_unchanged(tmp_path, world, trained):
@@ -760,10 +799,11 @@ def variants(tmp_path_factory, world, trained):
 
 EVAL_FLAG_SETS = [[], ["--disable-fsa"], ["--disable-dfm"], ["--disable-cnn-stream"],
                   ["--disable-dfm", "--disable-fsa"], ["--disable-cnn-stream", "--disable-dfm"]]
-# Fusion left by each flag set above; None is the usage error for a concat head
-# whose CNN half would be missing.
+# Fusion left by each flag set above; None is the usage error for a head whose
+# width does not fit the fusion left: a gated head without its DFM, or a concat
+# head without its CNN half.
 EVAL_FUSIONS = {
-    "dfm": ["dfm", "dfm", "sum", "vit-only", "sum", "vit-only"],
+    "dfm": ["dfm", "dfm", None, "vit-only", None, "vit-only"],
     "concat": ["concat", "concat", "concat", None, "concat", None],
     "vit-only": ["vit-only"] * 6,
 }
@@ -782,8 +822,11 @@ def test_eval_ablation_flags_drop_groups(tmp_path, world, variants, capsys,
     code = main(["eval", "--checkpoint", str(variants[variant]), "--data", str(world),
                  "--out", str(out), *flags])
     if fusion is None:
+        left = "vit-only" if "--disable-cnn-stream" in flags else "concat"
         assert code == 1
-        assert capsys.readouterr().err.startswith("usage error: cannot disable the CNN stream")
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: the ablation flags leave a {left} fusion")
+        assert "Traceback" not in err and not out.exists()
         return
     assert code == 0
     report = json.loads(out.read_text())

@@ -41,11 +41,18 @@ def test_fusion_variants_produce_unit_descriptors(rng, ablation, expected_fusion
     assert desc.shape[1] == descriptor_dim(params)
 
 
+# Each trainable set as (names added to, name prefixes removed from) the
+# frozen-backbone set; None is every name.
+LIMITS = {"frozen-backbone": ((), ()),
+          "two-vit-weights": (("vit.block1.ln2.g", "vit.block1.attn.wq"), ()),
+          "cut-at-block1": ((), ("fsa.block0.",)),
+          "every-name": None}
+
+
 @pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(disable_dfm=True)],
                          ids=["dfm", "concat"])
-@pytest.mark.parametrize("extra", [(), ("vit.block1.ln2.g", "vit.block1.attn.wq"), None],
-                         ids=["frozen-backbone", "two-vit-weights", "every-name"])
-def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
+@pytest.mark.parametrize("limit", LIMITS)
+def test_limited_backward_matches_full_path_bitwise(rng, ablation, limit):
     cfg = tiny_cfg()
     params = init_model(cfg, ablation, seed=3)
     for name in params:  # zero-initialised projections would hide most paths
@@ -56,32 +63,34 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, extra):
     ddesc = rng.normal(size=desc.shape)
     full: dict = {}
     model_backward(ddesc, tape, params, full)
-    trainable = set(trainable_names(params, freeze_backbone=extra is not None)) | set(extra or ())
+    extra, drop = LIMITS[limit] or ((), ())
+    trainable = {n for n in trainable_names(params, freeze_backbone=limit != "every-name")
+                 if not n.startswith(drop)} | set(extra)
     # The tape kept for the set runs the limited backward, bit for bit.
     limited_desc, limited_tape = model_forward(images, params, cfg, cross=True,
                                                trainable=trainable)
     assert limited_desc.tobytes() == desc.tobytes()
-    if extra == ():  # frozen backbone: no patch cache, block 0 keeps its adapter's alone
-        for (c_embed, block_caches, _), *_ in limited_tape.streams:
-            assert c_embed is None
-            assert block_caches[0][:4] == (None,) * 4 and block_caches[0][4] is not None
     limited: dict = {}
     model_backward(ddesc, limited_tape, params, limited)
     assert set(limited) == trainable
-    if extra == ():
+    if limit in ("frozen-backbone", "cut-at-block1"):
+        # no vit.* gradient, no patch cache; the cut block keeps its adapter's cache alone,
+        # and a block below the cut keeps nothing
         assert not any(n.startswith("vit.") for n in limited)
+        cut = int(limit == "cut-at-block1")
+        for (c_embed, block_caches, _), *_ in limited_tape.streams:
+            assert c_embed is None
+            assert block_caches[:cut] == [(None, None)] * cut
+            assert block_caches[cut][0] is None and block_caches[cut][1] is not None
     for name in trainable:
         assert limited[name].tobytes() == full[name].tobytes(), name
 
 
 def _variant(fusion, rng, cfg=None):
     """cfg (default tiny_cfg) parameters of one fusion, zero-initialised projections drawn."""
-    flags = {"dfm": AblationFlags(), "sum": AblationFlags(),
-             "concat": AblationFlags(disable_dfm=True),
+    flags = {"dfm": AblationFlags(), "concat": AblationFlags(disable_dfm=True),
              "vit-only": AblationFlags(disable_cnn_stream=True)}[fusion]
     params = init_model(cfg or tiny_cfg(), flags, seed=4)
-    if fusion == "sum":
-        params = {n: v for n, v in params.items() if not n.startswith("dfm.")}
     for name in params:
         if name.endswith((".fuse_w", "head.attn.wo")):
             params[name] = rng.normal(size=params[name].shape) * 0.1
@@ -89,7 +98,7 @@ def _variant(fusion, rng, cfg=None):
     return params
 
 
-FUSIONS = ["vit-only", "concat", "sum", "dfm"]
+FUSIONS = ["vit-only", "concat", "dfm"]
 
 
 @pytest.mark.parametrize("fusion", FUSIONS)
@@ -104,7 +113,7 @@ def test_descriptors_without_tape_match_full_tape_bitwise(rng, fusion, batch):
     assert bare.tobytes() == full.tobytes()
     assert len(tape.streams) == math.ceil(batch / SUB_BATCH) and tape.c_head is None
     for (c_embed, block_caches, _), *stream_caches in tape.streams:
-        assert c_embed is None and block_caches == [None] * cfg.depth
+        assert c_embed is None and block_caches == [(None, None)] * cfg.depth
         assert stream_caches == [None] * 3
 
 
@@ -204,17 +213,6 @@ def test_init_model_follows_param_spec(flags):
     params = init_model(ModelConfig.toy(), ablation, seed=0)
     assert [(n, v.shape) for n, v in params.items()] == \
         [(n, shape) for n, shape, _ in param_spec(ModelConfig.toy(), ablation)]
-
-
-def test_sum_fusion_differs_from_dfm(rng):
-    cfg = tiny_cfg()
-    params = init_model(cfg, AblationFlags(), seed=1)
-    images = rng.random((2, 32, 32, 3))
-    summed = {n: v for n, v in params.items() if not n.startswith("dfm.")}
-    assert fusion_of(summed) == "sum"
-    d1, _ = model_forward(images, params, cfg)
-    d2, _ = model_forward(images, summed, cfg)
-    assert np.abs(d1 - d2).max() > 1e-9
 
 
 def test_compute_descriptors_batching_consistent(rng):

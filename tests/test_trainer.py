@@ -1,5 +1,7 @@
 """Trainer tests: mining, triplet loss, Adam, determinism, freezing."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,27 @@ def test_nan_loss_aborts_with_diagnostic(tmp_path):
             pytest.warns(RuntimeWarning, match="invalid value encountered in logaddexp"):
         trainer.train(params, cfg, ablation, records, images, tc, out_dir=tmp_path)
     assert (tmp_path / "nan_dump.json").exists()
+
+
+def test_non_finite_validation_aborts_before_checkpoint(tmp_path):
+    # Adam's first step at this rate leaves finite weights that overflow the
+    # forward; unchecked, the epoch would log a recall from NaN descriptors
+    # and save those weights as its checkpoint.
+    cfg = tiny_cfg()
+    ablation = AblationFlags()
+    records, images = make_world(3, 6, 4)
+    params = init_model(cfg, ablation, seed=0)
+    tc = TrainConfig(epochs=1, batch_size=64, seed=0, learning_rate=1e200)
+    rows = []
+    with pytest.raises(trainer.NanLossError, match="validation descriptors at epoch 1"), \
+            pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
+        trainer.train(params, cfg, ablation, records, images, tc, out_dir=tmp_path,
+                      log=rows.append)
+    assert [row["epoch"] for row in rows] == [0]
+    assert all(np.all(np.isfinite(v)) for v in params.values())
+    dump = json.loads((tmp_path / "nan_dump.json").read_text())
+    assert (dump["epoch"], dump["step"]) == (1, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_dump.json"]
 
 
 def test_report_rows_structure():
