@@ -143,7 +143,8 @@ def _check_attention():
 
 def _check_gem():
     x = _rng(11).normal(size=(2, 4, 4, 3))
-    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x}, p=3.0)
+    return _op("ops.gem_pool", ops.gem_pool_fwd, ops.gem_pool_bwd, {"x": x},
+               regions=((slice(None), slice(None)),), p=3.0)
 
 
 def _check_frequency_branch():

@@ -29,7 +29,7 @@ from .model import (DROPPED_GROUPS, compute_descriptors, dropped_groups, fusion_
 from .ppm import read_ppm
 from .retrieval import ManifestError, recall_at_n, search
 from .synthworld import generate_world
-from .trainer import NanLossError, train, write_report
+from .trainer import NanLossError, train, write_rows, write_summary
 
 
 class UsageError(Exception):
@@ -130,9 +130,14 @@ def cmd_train(args) -> int:
         raise ConfigError(f"dataset images are {images.shape[1]}px but the model expects "
                           f"{cfg.model.image_size}px")
     params = init_model(cfg.model, cfg.ablation, cfg.train.seed)
+
+    def epoch_done(report):  # a run that stops later keeps the rows of the epochs before
+        print(json.dumps(report.rows[-1], sort_keys=True))
+        write_rows(report, args.out)
+
     report = train(params, cfg.model, cfg.ablation, records, images, cfg.train,
-                   out_dir=args.out, log=lambda row: print(json.dumps(row, sort_keys=True)))
-    write_report(report, args.out)
+                   out_dir=args.out, log=epoch_done)
+    write_summary(report, args.out)
     return 0
 
 

@@ -48,22 +48,7 @@ def regional_pool_fwd(fmap):
     B, g, g2, c = fmap.shape
     if g != g2 or g % 2 != 0:
         raise ops.ShapeError(f"regional_pool: map must be square with even side, got {g}x{g2}")
-    outs = []
-    caches = []
-    for rows, cols in _region_slices(g):
-        y, c_gem = ops.gem_pool_fwd(fmap[:, rows, cols, :], p=GEM_P)
-        outs.append(y)
-        caches.append(c_gem)
-    return np.stack(outs, axis=1), (caches, fmap.shape)
-
-
-def regional_pool_bwd(dy, cache):
-    caches, shape = cache
-    g = shape[1]
-    dmap = np.zeros(shape)
-    for r, (rows, cols) in enumerate(_region_slices(g)):
-        dmap[:, rows, cols, :] += ops.gem_pool_bwd(dy[:, r, :], caches[r])
-    return dmap
+    return ops.gem_pool_fwd(fmap, _region_slices(g), p=GEM_P)
 
 
 def cross_image_correlate_fwd(tokens, params, n_heads, cross: bool):
@@ -116,4 +101,4 @@ def head_backward(ddesc, cache, grads):
     c_pool, c_corr, c_fin = cache
     dcorr = finalize_bwd(ddesc, c_fin)
     dpooled = cross_image_correlate_bwd(dcorr, c_corr, grads)
-    return regional_pool_bwd(dpooled, c_pool)
+    return ops.gem_pool_bwd(dpooled, c_pool)

@@ -95,11 +95,10 @@ def gelu_bwd(dy, cache):
 
 
 def sigmoid_fwd(x):
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, e)
+    y /= 1.0 + e
     return y, y
 
 
@@ -257,10 +256,12 @@ def conv2d_bwd(dy, cache, inputs=True):
     db = dy.sum(axis=(0, 1, 2)) if has_b else None
     if not inputs:
         return None, dw, db
+    taps = w.transpose(2, 3, 0, 1).copy()  # (kh, kw, cout, cin), each tap contiguous
     dxp = np.zeros((B, H + 2 * padding, W + 2 * padding, cin), dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += dy @ w[:, :, i, j]
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += (
+                dy_flat @ taps[i, j]).reshape(B, oh, ow, cin)
     return dxp[:, padding:padding + H, padding:padding + W, :], dw, db
 
 
@@ -366,24 +367,30 @@ def bilinear_resize_bwd(dy, cache):
 # losses / pooling helpers
 # ---------------------------------------------------------------------------
 
-def gem_pool_fwd(x, p=3.0):
-    """Generalized-mean pool of a (B, H, W, C) map over its spatial axes.
+def gem_pool_fwd(x, regions, p=3.0):
+    """Generalized-mean pool of regions of a (B, H, W, C) map, stacked as (B, R, C).
 
-    (mean over H, W of softplus(x)^p)^(1/p), one (B, C) vector. Inputs are
-    shifted positive with softplus before the power mean, so the fractional
-    power is always defined.
+    regions: (row slice, column slice) pairs. Each region pools to
+    (mean over its pixels of softplus(x)^p)^(1/p). Inputs are shifted
+    positive with softplus before the power mean, so the fractional power
+    is always defined. softplus and the power run once on the whole map.
     """
     _check_map(x, "gem_pool")
     u, sp_cache = softplus_fwd(x)
     up = u ** p
-    m = up.mean(axis=(1, 2))
+    m = np.stack([up[:, rows, cols, :].mean(axis=(1, 2)) for rows, cols in regions], axis=1)
     y = m ** (1.0 / p)
-    return y, (u, m, p, sp_cache, x.shape[1] * x.shape[2])
+    return y, (u, m, p, sp_cache, regions)
 
 
 def gem_pool_bwd(dy, cache):
-    u, m, p, sp_cache, n_pix = cache
+    u, m, p, sp_cache, regions = cache
     dm = dy * (1.0 / p) * m ** (1.0 / p - 1.0)
-    dm = dm[:, None, None, :]
-    du = (p * u ** (p - 1.0)) * (dm / n_pix)
-    return softplus_bwd(du, sp_cache)
+    pu = p * u ** (p - 1.0)
+    sig = sigmoid_fwd(sp_cache)[0]  # softplus' derivative
+    dx = np.zeros(u.shape)
+    for r, (rows, cols) in enumerate(regions):
+        pu_r = pu[:, rows, cols, :]
+        du = pu_r * (dm[:, r, None, None, :] / (pu_r.shape[1] * pu_r.shape[2]))
+        dx[:, rows, cols, :] += du * sig[:, rows, cols, :]
+    return dx

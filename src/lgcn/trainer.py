@@ -170,6 +170,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
 
     records/images: the full manifest with the image stack in record order.
     Emits one checkpoint per epoch plus report rows (epoch 0 = untrained).
+    log(report) runs as each epoch ends, after its checkpoint is saved.
     """
     rng = np.random.default_rng(train_cfg.seed)
     idx_of = {r.id: i for i, r in enumerate(records)}
@@ -188,7 +189,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     report.rows.append({"epoch": 0, "loss": None, "triplets": None, "skipped": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
-        log(report.rows[-1])
+        log(report)
 
     opt = Adam(train_cfg, trainable_names(params, train_cfg.freeze_backbone))
     b = train_cfg.batch_size
@@ -233,11 +234,11 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
                             "skipped": mined.skipped,
                             **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
         report.timings.append({"epoch": epoch, "wall_time_s": time.monotonic() - t0})
-        if log:
-            log(report.rows[-1])
         if out_dir:
             save_checkpoint(os.path.join(out_dir, f"checkpoint-epoch{epoch:03d}.ckpt"),
                             params, header)
+        if log:
+            log(report)
 
     report.checksums = {
         "backbone_sha256": group_sha256(params, "vit."),
@@ -261,10 +262,14 @@ def _dump_nan_diag(out_dir, epoch, step, params):
         json.dump(diag, fh, indent=2, sort_keys=True)
 
 
-def write_report(report: TrainReport, out_dir) -> None:
+def write_rows(report: TrainReport, out_dir) -> None:
+    """report.jsonl and timing.jsonl of the epochs so far, each replaced atomically."""
     for name, rows in (("report.jsonl", report.rows), ("timing.jsonl", report.timings)):
         with atomic_write(os.path.join(out_dir, name), encoding="utf-8") as fh:
             fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def write_summary(report: TrainReport, out_dir) -> None:
     with atomic_write(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
         json.dump({"checksums": report.checksums, "final": report.rows[-1]},
                   fh, indent=2, sort_keys=True)

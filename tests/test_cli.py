@@ -129,6 +129,24 @@ def test_train_lr_zero_null_step(tmp_path, world):
     assert sha(out / "checkpoint-epoch001.ckpt") == sha(out / "checkpoint-epoch002.ckpt")
 
 
+def test_train_stopped_at_epoch_1_keeps_epoch_0_rows(tmp_path, world, capsys):
+    # At this rate Adam's first step overflows the forward, so epoch 1 stops with
+    # exit 2; the rows of the epochs before it are on disk, not only on stdout.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, **{"train.epochs": 2})
+    with warnings.catch_warnings():  # numpy's overflow and invalid-value warnings
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["train", "--config", str(cfg), "--data", str(world), "--out", str(out),
+                     "--lr", "1e200"])
+    assert code == 2
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    assert [row["epoch"] for row in rows] == [0] and rows == printed
+    assert (out / "timing.jsonl").read_text() == ""
+    assert not (out / "summary.json").exists()
+    assert not list(out.glob("checkpoint-*"))
+
+
 def test_train_determinism_byte_identical(tmp_path, world):
     outs = []
     for sub in ("r1", "r2"):

@@ -404,9 +404,12 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
+WHOLE_MAP = ((slice(None), slice(None)),)
+
+
 def test_gem_constant_map_constant_output():
     x = np.full((4, 4, 3), 1.5)
-    (y,), _ = ops.gem_pool_fwd(x[None], p=3.0)
+    ((y,),), _ = ops.gem_pool_fwd(x[None], WHOLE_MAP, p=3.0)
     # the power mean of a constant is that constant (after the positive shift)
     np.testing.assert_allclose(y, softplus(1.5), atol=1e-12)
     assert np.ptp(y) == 0.0
@@ -414,14 +417,14 @@ def test_gem_constant_map_constant_output():
 
 def test_gem_p1_reduces_to_mean_pool(rng):
     x = rng.normal(size=(5, 5, 2))
-    (y,), _ = ops.gem_pool_fwd(x[None], p=1.0)
+    ((y,),), _ = ops.gem_pool_fwd(x[None], WHOLE_MAP, p=1.0)
     np.testing.assert_allclose(y, softplus(x).mean(axis=(0, 1)), atol=1e-12)
 
 
 def test_gem_direct_formula_oracle(rng):
     x = rng.normal(size=(6, 6, 4))
     p = 3.0
-    (y,), _ = ops.gem_pool_fwd(x[None], p=p)
+    ((y,),), _ = ops.gem_pool_fwd(x[None], WHOLE_MAP, p=p)
     ref = (softplus(x).reshape(-1, 4) ** p).mean(axis=0) ** (1 / p)
     np.testing.assert_allclose(y, ref, atol=1e-12)
 
@@ -429,7 +432,7 @@ def test_gem_direct_formula_oracle(rng):
 def test_gem_between_mean_and_max(rng):
     x = rng.normal(size=(8, 8, 1))
     u = softplus(x)
-    (y,), _ = ops.gem_pool_fwd(x[None], p=3.0)
+    ((y,),), _ = ops.gem_pool_fwd(x[None], WHOLE_MAP, p=3.0)
     assert u.mean() - 1e-12 <= y[0] <= u.max() + 1e-12
 
 
@@ -447,7 +450,7 @@ def test_ops_preserve_finiteness(rng, scale):
         ops.sigmoid_fwd(x)[0],
         ops.softmax_fwd(x, axis=-1)[0],
         ops.layernorm_fwd(x, np.ones(4), np.zeros(4))[0],
-        ops.gem_pool_fwd(x, p=3.0)[0],
+        ops.gem_pool_fwd(x, WHOLE_MAP, p=3.0)[0],
         ops.bilinear_resize_fwd(x, 9, 5)[0],
     ):
         assert np.all(np.isfinite(result))
@@ -476,7 +479,7 @@ _MAP_OPS = {
                          lambda x: ops.depthwise_conv2d_fwd(x, np.ones((3, 3, 3)))),
     "avg_pool2d": ("avg_pool2d", 4, lambda x: ops.avg_pool2d_fwd(x, 2)),
     "bilinear_resize": ("bilinear_resize", 4, lambda x: ops.bilinear_resize_fwd(x, 3, 3)),
-    "gem_pool": ("gem_pool", 4, ops.gem_pool_fwd),
+    "gem_pool": ("gem_pool", 4, lambda x: ops.gem_pool_fwd(x, WHOLE_MAP)),
     "dft2d": ("frequency_branch", 4,
               lambda x: spectral.frequency_branch_fwd(x, np.ones(x.shape[-3:]))),
     "idft2d": ("frequency_branch", 4, _branch_bwd),

@@ -308,7 +308,7 @@ def test_non_finite_validation_aborts_before_checkpoint(tmp_path):
     with pytest.raises(trainer.NanLossError, match="validation descriptors at epoch 1"), \
             pytest.warns(RuntimeWarning):  # numpy's overflow and invalid-value warnings
         trainer.train(params, cfg, ablation, records, images, tc, out_dir=tmp_path,
-                      log=rows.append)
+                      log=lambda report: rows.append(report.rows[-1]))
     assert [row["epoch"] for row in rows] == [0]
     assert all(np.all(np.isfinite(v)) for v in params.values())
     dump = json.loads((tmp_path / "nan_dump.json").read_text())
