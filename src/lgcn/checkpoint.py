@@ -86,7 +86,7 @@ def load_checkpoint(path):
         raw = _read(fh, _unpack(fh, "<I", "header length"), "header")
         try:
             header = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")

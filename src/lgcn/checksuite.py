@@ -189,7 +189,7 @@ def _check_vit_block():
     cfg = micro_cfg()
     r = _rng(18)
     gen = np.random.default_rng(55)
-    params = draw(vit.vit_spec(cfg) + fsa.fsa_spec(cfg, "fsa.block0"), gen)
+    params = draw([*vit.vit_spec(cfg), *fsa.fsa_spec(cfg, "fsa.block0")], gen)
     # a zero fusion projection hides the adapter's interior from the check
     _redraw(params, "fsa.block0.fuse_w", gen, 0.1)
     tokens = r.normal(size=(2, 1 + cfg.grid ** 2, cfg.embed_dim))
@@ -289,14 +289,13 @@ def _check_align():
                    params, ["cnn.align.w", "cnn.align.b"], {"fres": fres}, 14)
 
 
-def _check_dfm(mode):
+def _check_dfm():
     cfg = micro_cfg()
     params = draw(dfm.dfm_spec(cfg), np.random.default_rng(64))
     r = np.random.default_rng(65)
     maps = {n: r.normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim)) for n in ("fvit", "fres")}
-    return _module(f"dfm.forward_{mode.replace('-', '_')}",
-                   lambda fvit, fres, p: dfm.dfm_forward(fvit, fres, p, mode),
-                   dfm.dfm_backward, params, list(params), maps, 15)
+    return _module("dfm.forward", dfm.dfm_forward, dfm.dfm_backward,
+                   params, list(params), maps, 15)
 
 
 def _check_head():
@@ -343,8 +342,7 @@ def build_suite(scope: str = "all"):
         ("fsa.forward", _check_fsa_forward),
         ("cnn.forward", _check_cnn),
         ("cnn.align_upsample", _check_align),
-        ("dfm.forward_paper_text", lambda: _check_dfm("paper-text")),
-        ("dfm.forward_verbatim_eq5", lambda: _check_dfm("verbatim-eq5")),
+        ("dfm.forward", _check_dfm),
         ("head.forward", _check_head),
         ("model.end_to_end", lambda: _check_end_to_end("model.end_to_end", 2, 6)),
         # Two sub-batches: audits the split backward and its in-order gradient sum.

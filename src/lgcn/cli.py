@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -148,7 +149,12 @@ def _load_model(path):
         cfg = run_config_from_dict({"model": None, "ablation": None, **header})
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
-    shapes = {n: shape for n, shape, _ in param_spec(cfg.model, cfg.ablation)}
+    # A header can claim any depth: list at most one entry more than the file holds.
+    spec = list(itertools.islice(param_spec(cfg.model, cfg.ablation), len(params) + 1))
+    if len(spec) > len(params):
+        raise CheckpointError(f"{path}: the file's {len(params)} tensors differ from the "
+                              "header's model, which has more")
+    shapes = {n: shape for n, shape, _ in spec}
     for n, shape in shapes.items():  # earlier versions wrote 0-d tensors as shape (1,)
         if shape == () and n in params and params[n].shape == (1,):
             params[n] = params[n].reshape(())

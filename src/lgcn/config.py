@@ -219,7 +219,7 @@ def load_run_config(path: str | None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # malformed JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested, not UTF-8
             raise ConfigError(f"{path}: not a JSON config: {exc}") from exc
     return run_config_from_dict(data)
 

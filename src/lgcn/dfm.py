@@ -2,11 +2,9 @@
 
 The gate is a per-position bottleneck: a 1x1 projection down to a quarter of
 the channels, ReLU, a 1x1 projection back up, and a sigmoid, giving weights
-omega in (0, 1). The "paper-text" mode, the one the model runs, routes
-omega to the transformer stream and (1 - omega) to the CNN stream, with
-learnable scalars alpha1/alpha2 balancing the two terms. The documented
-degenerate "verbatim-eq5" mode, reachable only through dfm_forward(mode=),
-applies both masks to the transformer stream: with equal alphas it is an identity.
+omega in (0, 1). The fusion routes omega to the transformer stream and
+(1 - omega) to the CNN stream, with learnable scalars alpha1/alpha2
+balancing the two terms.
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ import numpy as np
 
 from . import ops
 from .params import ONES, ZEROS, acc_grad, normal
-
-DFM_MODES = ("paper-text", "verbatim-eq5")
-
 
 def dfm_spec(cfg) -> list:
     d, d4 = cfg.embed_dim, cfg.gate_dim
@@ -53,33 +48,24 @@ def gate_weights_bwd(domega, cache, grads):
     return df
 
 
-def dfm_forward(fvit, fres, params, mode="paper-text"):
+def dfm_forward(fvit, fres, params):
     """Fuse aligned maps (B, G, G, D) into one map of the same shape."""
-    if mode not in DFM_MODES:
-        raise ValueError(f"unknown dfm mode {mode!r}")
     if fvit.shape != fres.shape:
         raise ops.ShapeError(f"dfm_forward: stream shapes {fvit.shape} and {fres.shape} differ")
     f = fvit + fres
     omega, c_gate = gate_weights_fwd(f, params)
     a1 = params["dfm.alpha1"]
     a2 = params["dfm.alpha2"]
-    second = fvit if mode == "verbatim-eq5" else fres
-    out = a1 * (omega * fvit) + a2 * ((1.0 - omega) * second)
-    return out, (fvit, fres, omega, c_gate, a1, a2, mode)
+    out = a1 * (omega * fvit) + a2 * ((1.0 - omega) * fres)
+    return out, (fvit, fres, omega, c_gate, a1, a2)
 
 
 def dfm_backward(dout, cache, params, grads):
-    fvit, fres, omega, c_gate, a1, a2, mode = cache
-    second = fvit if mode == "verbatim-eq5" else fres
+    fvit, fres, omega, c_gate, a1, a2 = cache
     acc_grad(grads, "dfm.alpha1", np.array((dout * omega * fvit).sum()))
-    acc_grad(grads, "dfm.alpha2", np.array((dout * (1.0 - omega) * second).sum()))
+    acc_grad(grads, "dfm.alpha2", np.array((dout * (1.0 - omega) * fres).sum()))
     dfvit = dout * a1 * omega
-    dsecond = dout * a2 * (1.0 - omega)
-    domega = dout * a1 * fvit - dout * a2 * second
-    if mode == "verbatim-eq5":
-        dfvit = dfvit + dsecond
-        dfres = np.zeros_like(fres)
-    else:
-        dfres = dsecond
+    dfres = dout * a2 * (1.0 - omega)
+    domega = dout * a1 * fvit - dout * a2 * fres
     df = gate_weights_bwd(domega, c_gate, grads)
     return dfvit + df, dfres + df

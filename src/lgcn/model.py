@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -42,17 +43,17 @@ def dropped_groups(flags) -> tuple[str, ...]:
                  for prefix in prefixes)
 
 
-def param_spec(cfg: ModelConfig, ablation: AblationFlags) -> list:
-    """The variant's (name, shape, initialiser) list, in archive order.
+def param_spec(cfg: ModelConfig, ablation: AblationFlags):
+    """The variant's (name, shape, initialiser) entries, in archive order, made as they are read.
 
     The flags pick the groups, and every forward reads its fusion from them (fusion_of)."""
     concat = not ablation.disable_cnn_stream and ablation.disable_dfm
-    spec = [*vit.vit_spec(cfg),
-            *(entry for i in range(cfg.depth) for entry in fsa.fsa_spec(cfg, f"fsa.block{i}")),
-            *cnn.cnn_spec(cfg), *dfm.dfm_spec(cfg),
-            *head.head_spec((2 if concat else 1) * cfg.embed_dim)]
+    spec = itertools.chain(
+        vit.vit_spec(cfg),
+        (entry for i in range(cfg.depth) for entry in fsa.fsa_spec(cfg, f"fsa.block{i}")),
+        cnn.cnn_spec(cfg), dfm.dfm_spec(cfg), head.head_spec((2 if concat else 1) * cfg.embed_dim))
     drop = dropped_groups(ablation)
-    return [entry for entry in spec if not entry[0].startswith(drop)]
+    return (entry for entry in spec if not entry[0].startswith(drop))
 
 
 def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
@@ -76,7 +77,8 @@ def _map(fn, items) -> list:
         return [fn(items[0])]
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+            _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0))
+                                       if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     return list(_POOL.map(fn, items))
 
 

@@ -249,17 +249,20 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
 
 
 def _dump_nan_diag(out_dir, epoch, step, params):
+    def stat(x):  # strict JSON has no NaN or Infinity; "finite" says why a stat is null
+        return float(x) if np.isfinite(x) else None
+
     diag = {
         "epoch": epoch,
         "step": step,
         "param_stats": {
-            name: {"min": float(np.min(v)), "max": float(np.max(v)),
+            name: {"min": stat(np.min(v)), "max": stat(np.max(v)),
                    "finite": bool(np.all(np.isfinite(v)))}
             for name, v in params.items()
         },
     }
     with atomic_write(os.path.join(out_dir, "nan_dump.json"), encoding="utf-8") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
+        json.dump(diag, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_rows(report: TrainReport, out_dir) -> None:

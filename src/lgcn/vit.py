@@ -9,6 +9,8 @@ tokens yields the G x G x D feature map consumed by the fusion stage.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import fsa, ops
@@ -17,7 +19,8 @@ from .params import ONES, ZEROS, acc_grad, normal, wants, wants_group
 FFN_RATIO = 4
 
 
-def vit_spec(cfg) -> list:
+def vit_spec(cfg):
+    """The backbone's (name, shape, initialiser) entries, made as they are read."""
     d, g, h = cfg.embed_dim, cfg.grid, FFN_RATIO * cfg.embed_dim
     # Patch projection init is deliberately strong: the backbone stays frozen
     # and random at desk scale, so the image-dependent component has to
@@ -32,8 +35,8 @@ def vit_spec(cfg) -> list:
              ("ln2.g", (d,), ONES), ("ln2.b", (d,), ZEROS),
              ("ffn.w1", (d, h), normal()), ("ffn.b1", (h,), ZEROS),
              ("ffn.w2", (h, d), normal()), ("ffn.b2", (d,), ZEROS)]
-    return patch + [(f"vit.block{i}.{name}", shape, init)
-                    for i in range(cfg.depth) for name, shape, init in block]
+    return itertools.chain(patch, ((f"vit.block{i}.{name}", shape, init)
+                                   for i in range(cfg.depth) for name, shape, init in block))
 
 
 def patch_embed_fwd(images, params, cfg):

@@ -385,7 +385,7 @@ def test_bad_checkpoint_header_is_runtime_error(tmp_path, world, trained, capsys
     assert err.startswith("error: ") and "bad header" in err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "dtype-7", "json-bang"])
+@pytest.mark.parametrize("damage", ["truncated", "dtype-7", "json-bang", "json-nested"])
 def test_damaged_checkpoint_is_runtime_error(tmp_path, world, trained, capsys, damage):
     data = (trained / "checkpoint-epoch001.ckpt").read_bytes()
     hlen = int.from_bytes(data[12:16], "little")
@@ -395,13 +395,21 @@ def test_damaged_checkpoint_is_runtime_error(tmp_path, world, trained, capsys, d
         at = 16 + hlen + 8
         at += 4 + int.from_bytes(data[at:at + 4], "little")  # skip the first name
         data = data[:at] + b"\x07" + data[at + 1:]
-    else:
+    elif damage == "json-bang":
         data = data[:16] + b"!" + data[17:]
+    else:  # json raises RecursionError, not ValueError, on this header
+        nested = b"[" * 100_000
+        data = data[:12] + len(nested).to_bytes(4, "little") + nested + data[16 + hlen:]
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(data)
     code, err = _eval_exit(tmp_path, world, bad, capsys)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert main(["heatmap", "--checkpoint", str(bad), "--out", str(tmp_path / "h"),
+                 "--image", str(world / "images" / "p0000_v0.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -423,6 +431,33 @@ def test_tensors_not_matching_header_are_runtime_errors(tmp_path, world, trained
                  "--image", str(world / "images" / "p0000_v0.ppm")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_huge_header_depth_is_rejected_from_a_short_table(tmp_path, world, trained, capsys,
+                                                         monkeypatch):
+    """The check lists at most one entry more than the file holds, whatever the depth."""
+    import lgcn.cli
+    params, _ = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    ckpt = _with_header(tmp_path, trained, lambda h: h["model"].update(depth=10**5))
+    spec, listed = lgcn.cli.param_spec, []
+
+    def counted(*args):
+        for entry in spec(*args):
+            listed.append(entry[0])
+            yield entry
+
+    monkeypatch.setattr(lgcn.cli, "param_spec", counted)
+    code, err = _eval_exit(tmp_path, world, ckpt, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "differ from the header" in err
+    assert len(listed) == len(params) + 1
+    listed.clear()
+    assert main(["heatmap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "h"),
+                 "--image", str(world / "images" / "p0000_v0.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "differ from the header" in err
+    assert len(listed) == len(params) + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.ckpt"]
 
 
 def test_non_finite_adapter_gains_are_runtime_error(tmp_path, world, trained, capsys):
@@ -568,11 +603,14 @@ def test_static_fusion_flag_is_gone(tmp_path, world):
 
 def test_malformed_config_is_usage_error(tmp_path, world, capsys):
     bad = tmp_path / "bad.json"
-    for text in ('{"model": ', '\xff', '[1, 2]', '3'):
+    # 100,000 nested lists make json raise RecursionError, not ValueError
+    for text in ('{"model": ', '\xff', '[1, 2]', '3', "[" * 100_000):
         bad.write_bytes(text.encode("latin-1"))
         assert main(["train", "--config", str(bad), "--data", str(world),
                      "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flags", [

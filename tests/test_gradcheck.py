@@ -85,7 +85,7 @@ def test_suite_composition_is_pinned(gradcheck_suite):
         ("ops.attention", 3), ("ops.gem_pool", 1), ("spectral.frequency_branch", 2),
         ("trainer.triplet_loss", 3), ("vit.patch_embed", 5), ("vit.block_with_fsa", 22),
         ("vit.two_block_with_adapters", 47), ("fsa.forward", 6), ("cnn.forward", 7),
-        ("cnn.align_upsample", 3), ("dfm.forward_paper_text", 8),
-        ("dfm.forward_verbatim_eq5", 8), ("head.forward", 9), ("model.end_to_end", 68),
+        ("cnn.align_upsample", 3), ("dfm.forward", 8),
+        ("head.forward", 9), ("model.end_to_end", 68),
         ("model.split_batch", 68),
     ]

@@ -203,7 +203,7 @@ def test_init_model_bytes_are_pinned(flags):
 
 @pytest.mark.parametrize("flags", _ALL_FLAGS, ids=str)
 def test_paper_spec_counts(flags):
-    spec = param_spec(ModelConfig.paper(), AblationFlags(*flags))
+    spec = list(param_spec(ModelConfig.paper(), AblationFlags(*flags)))
     assert (len(spec), sum(math.prod(shape) for _, shape, _ in spec)) == _INIT_PINS[flags][3:]
 
 
@@ -255,6 +255,19 @@ def test_step_gradients_do_not_depend_on_the_pool(rng, monkeypatch):
     assert list(one_grads) == list(grads)
     for name, g in grads.items():
         assert one_grads[name].tobytes() == g.tobytes(), name
+
+
+def test_pool_sizes_itself_without_sched_getaffinity(rng, monkeypatch):
+    """Hosts without os.sched_getaffinity size the pool by os.cpu_count()."""
+    cfg = tiny_cfg()
+    params = init_model(cfg, AblationFlags(), seed=0)
+    images = rng.random((SUB_BATCH + 1, 32, 32, 3))
+    desc = compute_descriptors(images, params, cfg)
+    monkeypatch.setattr(model_mod, "_POOL", None)
+    monkeypatch.delattr(model_mod.os, "sched_getaffinity")
+    fallback = compute_descriptors(images, params, cfg)
+    model_mod._POOL.shutdown()
+    assert fallback.tobytes() == desc.tobytes()
 
 
 def test_concurrent_encodes_share_the_cached_matrices(rng):

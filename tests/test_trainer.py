@@ -282,6 +282,15 @@ def test_unfrozen_backbone_moves():
     assert group_sha256(params, "vit.") != backbone_before
 
 
+def read_nan_dump(out_dir):
+    """nan_dump.json through a strict parser: a NaN or Infinity in it fails the test."""
+    dump = json.loads((out_dir / "nan_dump.json").read_text(),
+                      parse_constant=lambda name: pytest.fail(f"nan_dump.json holds {name}"))
+    for s in dump["param_stats"].values():  # a non-finite min or max is written as null
+        assert s["finite"] == (s["min"] is not None and s["max"] is not None)
+    return dump
+
+
 def test_nan_loss_aborts_with_diagnostic(tmp_path):
     cfg = tiny_cfg()
     ablation = AblationFlags()
@@ -292,7 +301,8 @@ def test_nan_loss_aborts_with_diagnostic(tmp_path):
     with pytest.raises(trainer.NanLossError), \
             pytest.warns(RuntimeWarning, match="invalid value encountered in logaddexp"):
         trainer.train(params, cfg, ablation, records, images, tc, out_dir=tmp_path)
-    assert (tmp_path / "nan_dump.json").exists()
+    stats = read_nan_dump(tmp_path)["param_stats"]
+    assert stats["cnn.align.w"] == {"min": None, "max": None, "finite": False}
 
 
 def test_non_finite_validation_aborts_before_checkpoint(tmp_path):
@@ -311,7 +321,7 @@ def test_non_finite_validation_aborts_before_checkpoint(tmp_path):
                       log=lambda report: rows.append(report.rows[-1]))
     assert [row["epoch"] for row in rows] == [0]
     assert all(np.all(np.isfinite(v)) for v in params.values())
-    dump = json.loads((tmp_path / "nan_dump.json").read_text())
+    dump = read_nan_dump(tmp_path)
     assert (dump["epoch"], dump["step"]) == (1, None)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_dump.json"]
 
