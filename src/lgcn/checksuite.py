@@ -260,7 +260,7 @@ def _open_kink_margins(params, images, cfg, gate=False, margin=KINK_MARGIN):
         params[bname] = params[bname] + shifts
         x = ops.relu_fwd(y + shifts)[0]
     if gate:
-        fvit, _ = vit.vit_forward(images, params, cfg)
+        fvit, _ = vit.vit_forward(images, params, cfg, tape=False)
         pooled, _ = ops.avg_pool2d_fwd(x, cfg.pool_factor)
         fres, _ = cnn.align_upsample(pooled, params, cfg)
         h1, _ = ops.linear_fwd(fvit + fres, params["dfm.w1"], params["dfm.b1"])

@@ -28,7 +28,7 @@ from .heatmap import export_heatmaps
 from .model import (DROPPED_GROUPS, compute_descriptors, dropped_groups, fusion_of, init_model,
                     param_spec)
 from .ppm import read_ppm
-from .retrieval import ManifestError, recall_at_n, search
+from .retrieval import DEFAULT_MATCH_THRESHOLD_M, ManifestError, recall_at_n, search
 from .synthworld import generate_world
 from .trainer import NanLossError, train, write_rows, write_summary
 
@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", default="1,5,10", help="comma-separated N values")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--per-query", default=None, help="optional per-query CSV path")
-    p.add_argument("--threshold", type=float, default=25.0,
+    p.add_argument("--threshold", type=float, default=DEFAULT_MATCH_THRESHOLD_M,
                    help="match radius in meters, finite and >= 0")
     p.add_argument("--oracle-check", action="store_true",
                    help="cross-check against a brute-force recall computation")

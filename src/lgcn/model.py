@@ -12,7 +12,7 @@ import numpy as np
 
 from . import cnn, dfm, fsa, head, vit
 from .config import AblationFlags, ModelConfig
-from .params import acc_grad, draw
+from .params import BACKBONE_PREFIX, acc_grad, draw
 
 
 def fusion_of(params) -> str:
@@ -86,19 +86,17 @@ def _map(fn, items) -> list:
 class ModelTape:
     """The forward caches model_backward reads.
 
-    trainable is the set the caches were kept for and model_backward runs under.
     streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch.
     """
 
-    trainable: set | None
     streams: list
     c_head: object
     fusion: str
 
 
-def _streams_forward(images, params, cfg: ModelConfig, fusion: str, trainable, keep: bool):
+def _streams_forward(images, params, cfg: ModelConfig, fusion: str, keep: bool, backbone: bool):
     """One sub-batch through both streams: (caches, fvit, fres, omega, fused)."""
-    fvit, c_vit = vit.vit_forward(images, params, cfg, trainable)
+    fvit, c_vit = vit.vit_forward(images, params, cfg, keep, backbone)
     c_cnn = c_align = c_dfm = None
     fres = omega = None
     if fusion == "vit-only":
@@ -123,21 +121,22 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
     in SUB_BATCH-image sub-batches, then the head on the whole batch.
     cross=True turns on cross-image attention in the head (training mode);
     inference keeps images independent. The tape keeps only the caches
-    model_backward reads under the same trainable: None keeps all of them
-    (the gradcheck path), a set none of the frozen ViT prefix's
-    (vit.first_trained_block), and an empty set none at all.
+    model_backward reads, and trainable (None: every name) decides them by
+    two facts: an empty set keeps no tape, and a set without a vit.* name
+    freezes the backbone, whose tape vit.vit_forward trims.
     """
     fusion = fusion_of(params)
     keep = trainable is None or bool(trainable)
+    backbone = trainable is None or any(n.startswith(BACKBONE_PREFIX) for n in trainable)
     # An empty batch is one empty sub-batch.
     subs = [images[i:i + SUB_BATCH] for i in range(0, max(images.shape[0], 1), SUB_BATCH)]
-    outs = _map(lambda x: _streams_forward(x, params, cfg, fusion, trainable, keep), subs)
+    outs = _map(lambda x: _streams_forward(x, params, cfg, fusion, keep, backbone), subs)
     fused = outs[0][4] if len(outs) == 1 else np.concatenate([o[4] for o in outs])
     desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
-    return desc, ModelTape(trainable, [o[0] for o in outs], c_head if keep else None, fusion)
+    return desc, ModelTape([o[0] for o in outs], c_head if keep else None, fusion)
 
 
-def _streams_backward(dfused, caches, fusion: str, params, trainable) -> dict:
+def _streams_backward(dfused, caches, fusion: str, params) -> dict:
     """One sub-batch's parameter gradients, in a dict of its own."""
     c_vit, c_cnn, c_align, c_dfm = caches
     grads: dict = {}
@@ -150,25 +149,23 @@ def _streams_backward(dfused, caches, fusion: str, params, trainable) -> dict:
         dfvit, dfres = dfused[..., :d], dfused[..., d:]
     if dfres is not None:
         dfres_raw = cnn.align_backward(dfres, c_align, grads)
-        cnn.cnn_backward(dfres_raw, c_cnn, grads, image_grad=trainable is None)
-    vit.vit_backward(dfvit, c_vit, params, grads, trainable)
+        cnn.cnn_backward(dfres_raw, c_cnn, grads, image_grad=False)
+    vit.vit_backward(dfvit, c_vit, params, grads, image_grad=False)
     return grads
 
 
 def model_backward(ddesc, tape: ModelTape, params, grads):
     """Backpropagate descriptor gradients into the grads dict.
 
-    The backward runs under the set the tape was kept for (tape.trainable).
-    None computes every parameter's gradient and both streams' image
-    gradients (the gradcheck path). Given a set of names, frozen vit.*
-    weights get no gradient and neither stream computes an image gradient
-    (vit.vit_backward, cnn.cnn_backward); the gradients it does compute are
-    bitwise those of the full path. The head runs once; the sub-batches run
-    on the pool and their gradients are added in sub-batch order.
+    The tape decides the gradients: a full tape gives every parameter's,
+    and a frozen backbone's tape every one but the vit.* weights', bitwise
+    those of the full tape. No image gradient is computed. The head runs
+    once; the sub-batches run on the pool and their gradients are added in
+    sub-batch order.
     """
     dfused = head.head_backward(ddesc, tape.c_head, grads)
     parts = _map(lambda i: _streams_backward(dfused[i * SUB_BATCH:(i + 1) * SUB_BATCH],
-                                             tape.streams[i], tape.fusion, params, tape.trainable),
+                                             tape.streams[i], tape.fusion, params),
                  range(len(tape.streams)))
     for part in parts:
         for name, g in part.items():
@@ -185,7 +182,7 @@ def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64) 
 def stream_maps(image, params, cfg: ModelConfig) -> dict:
     """Named per-stream maps for one image, for heatmap export."""
     _, fvit, fres, omega, fused = _streams_forward(image[None], params, cfg, fusion_of(params),
-                                                   set(), keep=False)
+                                                   keep=False, backbone=False)
     maps = {"fvit": fvit, "fres": fres, "omega": omega, "fused": fused}
     maps = {name: m[0] for name, m in maps.items() if m is not None}
     bad = [name for name, m in maps.items() if not np.all(np.isfinite(m))]

@@ -42,16 +42,6 @@ def draw(spec, rng) -> dict:
     return {name: init(rng, shape) for name, shape, init in spec}
 
 
-def wants(trainable, *names) -> bool:
-    """Whether a backward limited to `trainable` (None: every name) needs one of names."""
-    return trainable is None or not trainable.isdisjoint(names)
-
-
-def wants_group(trainable, *prefixes) -> bool:
-    """Whether `trainable` (None: every name) holds a name under one of prefixes."""
-    return trainable is None or any(n.startswith(prefixes) for n in trainable)
-
-
 def trainable_names(params: dict, freeze_backbone: bool) -> list[str]:
     if not freeze_backbone:
         return list(params)

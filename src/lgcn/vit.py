@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import fsa, ops
-from .params import ONES, ZEROS, acc_grad, normal, wants, wants_group
+from .params import ONES, ZEROS, acc_grad, normal
 
 FFN_RATIO = 4
 
@@ -59,38 +59,33 @@ def patch_embed_fwd(images, params, cfg):
     return tokens, (c_lin, (B, g, p))
 
 
-def patch_embed_bwd(dtokens, cache, grads, trainable=None):
-    """Image gradient; with a trainable set, only its names' gradients and an empty array."""
+def patch_embed_bwd(dtokens, cache, grads, image_grad=True):
+    """The patch weights' gradients into grads; returns the image gradient, or an empty array."""
     c_lin, (B, g, p) = cache
     dtok = dtokens[:, 1:, :]
-    _acc(grads, trainable, "vit.patch.cls", dtokens[:, 0, :].sum(axis=0))
-    _acc(grads, trainable, "vit.patch.pos", dtok.sum(axis=0))
+    acc_grad(grads, "vit.patch.cls", dtokens[:, 0, :].sum(axis=0))
+    acc_grad(grads, "vit.patch.pos", dtok.sum(axis=0))
     dpatches = _linear_bwd(dtok, c_lin, grads, "vit.patch.proj_w", "vit.patch.proj_b",
-                           trainable, inputs=trainable is None)
+                           inputs=image_grad)
     if dpatches is None:
         return np.empty(0)
     return dpatches.reshape(B, g, g, p, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * p, g * p, 3)
 
 
-def _acc(grads, trainable, name, g):
-    """Accumulate g into grads[name] if the backward wants that name."""
-    if wants(trainable, name):
-        acc_grad(grads, name, g)
-
-
-def _linear_bwd(dy, cache, grads, w_name, b_name, trainable, inputs=True):
-    """dx of a linear layer; its weight and bias gradients go to grads when wanted."""
-    dx, dw, db = ops.linear_bwd(dy, cache, inputs, wants(trainable, w_name, b_name))
-    _acc(grads, trainable, w_name, dw)
-    _acc(grads, trainable, b_name, db)
+def _linear_bwd(dy, cache, grads, w_name, b_name, weights=True, inputs=True):
+    """dx of a linear layer; with weights, its weight and bias gradients go to grads."""
+    dx, dw, db = ops.linear_bwd(dy, cache, inputs, weights)
+    if weights:
+        acc_grad(grads, w_name, dw)
+        acc_grad(grads, b_name, db)
     return dx
 
 
-def _layernorm_bwd(dy, cache, grads, prefix, trainable):
-    g_name, b_name = f"{prefix}.g", f"{prefix}.b"
-    dx, dg, db = ops.layernorm_bwd(dy, cache, wants(trainable, g_name, b_name))
-    _acc(grads, trainable, g_name, dg)
-    _acc(grads, trainable, b_name, db)
+def _layernorm_bwd(dy, cache, grads, prefix, weights):
+    dx, dg, db = ops.layernorm_bwd(dy, cache, weights)
+    if weights:
+        acc_grad(grads, f"{prefix}.g", dg)
+        acc_grad(grads, f"{prefix}.b", db)
     return dx
 
 
@@ -116,15 +111,15 @@ def mhsa_fwd(x, params, prefix, n_heads, keep=True):
     return out, ((cq, ck, cv, c_att, co, n_heads, prefix) if keep else None)
 
 
-def mhsa_bwd(dy, cache, grads, trainable=None):
+def mhsa_bwd(dy, cache, grads, weights=True):
     cq, ck, cv, c_att, co, n_heads, prefix = cache
-    dmerged = _linear_bwd(dy, co, grads, f"{prefix}.wo", f"{prefix}.bo", trainable)
+    dmerged = _linear_bwd(dy, co, grads, f"{prefix}.wo", f"{prefix}.bo", weights)
     doh = _split_heads(dmerged, n_heads)
     dqh, dkh, dvh = ops.attention_bwd(doh, c_att)
     dx = np.zeros_like(dy)
     for dh, clin, wname, bname in ((dqh, cq, "wq", "bq"), (dkh, ck, "wk", "bk"), (dvh, cv, "wv", "bv")):
         dx = dx + _linear_bwd(_merge_heads(dh), clin, grads, f"{prefix}.{wname}",
-                              f"{prefix}.{bname}", trainable)
+                              f"{prefix}.{bname}", weights)
     return dx
 
 
@@ -135,11 +130,11 @@ def ffn_fwd(x, params, prefix, keep=True):
     return y, ((c1, ca, c2, prefix) if keep else None)
 
 
-def ffn_bwd(dy, cache, grads, trainable=None):
+def ffn_bwd(dy, cache, grads, weights=True):
     c1, ca, c2, prefix = cache
-    da1 = _linear_bwd(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2", trainable)
+    da1 = _linear_bwd(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2", weights)
     dh1 = ops.gelu_bwd(da1, ca)
-    return _linear_bwd(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", trainable)
+    return _linear_bwd(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", weights)
 
 
 def vit_block_fwd(x, params, prefix, cfg, keep: bool):
@@ -156,74 +151,64 @@ def vit_block_fwd(x, params, prefix, cfg, keep: bool):
     return x2 + ff, h2, ((c_ln1, c_att, c_ln2, c_ffn, prefix) if keep else None)
 
 
-def vit_block_bwd(dy, cache, grads, trainable=None, dh2=None):
+def vit_block_bwd(dy, cache, grads, weights=True, dh2=None):
     """Input gradient of a block; dh2 is the adapter's gradient at LN2(x2), if any.
 
-    A vit.* weight outside trainable (None: every name) gets no gradient.
+    weights=False leaves the block's vit.* weights without gradients.
     """
     c_ln1, c_att, c_ln2, c_ffn, prefix = cache
-    dffn = ffn_bwd(dy, c_ffn, grads, trainable)
+    dffn = ffn_bwd(dy, c_ffn, grads, weights)
     if dh2 is not None:
         dffn = dffn + dh2
-    dx2 = _layernorm_bwd(dffn, c_ln2, grads, f"{prefix}.ln2", trainable) + dy
-    dh1 = mhsa_bwd(dx2, c_att, grads, trainable)
-    return _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", trainable) + dx2
+    dx2 = _layernorm_bwd(dffn, c_ln2, grads, f"{prefix}.ln2", weights) + dy
+    dh1 = mhsa_bwd(dx2, c_att, grads, weights)
+    return _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", weights) + dx2
 
 
-def first_trained_block(trainable, depth) -> int:
-    """The cut: the lowest block a backward limited to trainable (None: every name) runs.
-
-    That is the lowest block with a trainable vit.* or fsa.* name, block 0
-    when vit.patch.* trains, and depth when no ViT name trains. vit_forward
-    keeps no cache below it.
-    """
-    if wants_group(trainable, "vit.patch."):
-        return 0
-    return next((i for i in range(depth)
-                 if wants_group(trainable, f"vit.block{i}.", f"fsa.block{i}.")), depth)
-
-
-def vit_forward(images, params, cfg, trainable=None):
+def vit_forward(images, params, cfg, tape=True, backbone=True):
     """Run the transformer stream; returns the patch-token map (B, G, G, D).
 
     Block i adds its fsa.block{i} adapter's residual, if params hold one, as
-    (x2 + FFN(LN2(x2))) + FSA(LN2(x2)). Under trainable, with the cut from
-    first_trained_block, block i keeps the adapter's cache for i >= cut, and
-    the frozen path's for i > cut or when vit.patch.* or its own vit.* train.
+    (x2 + FFN(LN2(x2))) + FSA(LN2(x2)). tape=False keeps no cache. A tape
+    for a training backbone keeps every cache. One for a frozen backbone
+    (backbone=False) keeps each adapter's cache and a block's frozen-path
+    cache only above an adapter, whose gradient crosses the block; the
+    patch embedding keeps none.
     """
-    cut = first_trained_block(trainable, cfg.depth)
-    patch = wants_group(trainable, "vit.patch.")
     tokens, c_embed = patch_embed_fwd(images, params, cfg)
     block_caches = []
+    above_adapter = False
     for i in range(cfg.depth):
-        keep = i > cut or patch or wants_group(trainable, f"vit.block{i}.")
+        keep = tape and (backbone or above_adapter)
         tokens, h2, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, keep)
         c_fsa = None
         if f"fsa.block{i}.scale" in params:
             ad, c_fsa = fsa.fsa_forward(h2, params, f"fsa.block{i}", cfg)
             tokens = tokens + ad
-        block_caches.append((c_blk, c_fsa if i >= cut else None))
+            above_adapter = True
+        block_caches.append((c_blk, c_fsa if tape else None))
     B = tokens.shape[0]
     g, d = cfg.grid, cfg.embed_dim
     fmap = tokens[:, 1:, :].reshape(B, g, g, d)
-    return fmap, (c_embed if patch else None, block_caches, (B, g, d))
+    return fmap, (c_embed if tape and backbone else None, block_caches, (B, g, d))
 
 
-def vit_backward(dfmap, cache, params, grads, trainable=None):
+def vit_backward(dfmap, cache, params, grads, image_grad=True):
     """Backpropagate the map gradient into grads; returns the image gradient.
 
     Top down, each kept adapter's backward runs, then its block's; the first
-    block without a frozen-path cache ends the blocks. trainable=None
-    computes every gradient, the images' included. Given a set, a vit.*
-    weight outside it gets no gradient, and an empty array stands in for the
-    image gradient. Adapters it reaches always get theirs.
+    block without a frozen-path cache ends the blocks. vit.* weights get
+    gradients only on a tape that holds the patch-embedding cache (a
+    training backbone). An empty array stands in for the image gradient
+    without that cache or with image_grad=False.
     """
     c_embed, block_caches, (B, g, d) = cache
+    weights = c_embed is not None
     dtokens = np.zeros((B, 1 + g * g, d), dtype=dfmap.dtype)
     dtokens[:, 1:, :] = dfmap.reshape(B, g * g, d)
     for c_blk, c_fsa in reversed(block_caches):
         dh2 = None if c_fsa is None else fsa.fsa_backward(dtokens, c_fsa, params, grads)
         if c_blk is None:
             break
-        dtokens = vit_block_bwd(dtokens, c_blk, grads, trainable, dh2)
-    return np.empty(0) if c_embed is None else patch_embed_bwd(dtokens, c_embed, grads, trainable)
+        dtokens = vit_block_bwd(dtokens, c_blk, grads, weights, dh2)
+    return patch_embed_bwd(dtokens, c_embed, grads, image_grad) if weights else np.empty(0)

@@ -90,7 +90,7 @@ def regional_pool_bwd_reference(dy, cache):
 # (cin, cout, input side, (stride, padding) or None for every pair) of each conv
 # in the toy preset and in the tests' tiny config (image 32, cnn_channels 8).
 # Training computes dx for stages 2 and 3 and for align; stage 1's dx is the
-# image gradient, which only the full path (trainable=None) computes.
+# image gradient, which only a direct cnn_backward (gradcheck) computes.
 MODEL_CONVS = {
     "toy-stage1": (3, 24, 64, (2, 1)), "toy-stage2": (24, 48, 32, None),
     "toy-stage3": (48, 96, 16, None), "toy-align": (96, 64, 6, (1, 1)),

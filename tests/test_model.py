@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lgcn import model as model_mod, ops, spectral
+from lgcn import cnn, model as model_mod, ops, spectral, vit
 from lgcn.checkpoint import group_sha256
 from lgcn.config import AblationFlags, ModelConfig
 from lgcn.heatmap import export_heatmaps, response_scalar
@@ -41,17 +41,11 @@ def test_fusion_variants_produce_unit_descriptors(rng, ablation, expected_fusion
     assert desc.shape[1] == descriptor_dim(params)
 
 
-# Each trainable set as (names added to, name prefixes removed from) the
-# frozen-backbone set; None is every name.
-LIMITS = {"frozen-backbone": ((), ()),
-          "two-vit-weights": (("vit.block1.ln2.g", "vit.block1.attn.wq"), ()),
-          "cut-at-block1": ((), ("fsa.block0.",)),
-          "every-name": None}
-
-
-@pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(disable_dfm=True)],
-                         ids=["dfm", "concat"])
-@pytest.mark.parametrize("limit", LIMITS)
+@pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(disable_dfm=True),
+                                      AblationFlags(disable_fsa=True),
+                                      AblationFlags(disable_cnn_stream=True)],
+                         ids=["dfm", "concat", "no-fsa", "vit-only"])
+@pytest.mark.parametrize("limit", ["frozen-backbone", "every-name"])
 def test_limited_backward_matches_full_path_bitwise(rng, ablation, limit):
     cfg = tiny_cfg()
     params = init_model(cfg, ablation, seed=3)
@@ -63,9 +57,7 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, limit):
     ddesc = rng.normal(size=desc.shape)
     full: dict = {}
     model_backward(ddesc, tape, params, full)
-    extra, drop = LIMITS[limit] or ((), ())
-    trainable = {n for n in trainable_names(params, freeze_backbone=limit != "every-name")
-                 if not n.startswith(drop)} | set(extra)
+    trainable = set(trainable_names(params, freeze_backbone=limit == "frozen-backbone"))
     # The tape kept for the set runs the limited backward, bit for bit.
     limited_desc, limited_tape = model_forward(images, params, cfg, cross=True,
                                                trainable=trainable)
@@ -73,15 +65,21 @@ def test_limited_backward_matches_full_path_bitwise(rng, ablation, limit):
     limited: dict = {}
     model_backward(ddesc, limited_tape, params, limited)
     assert set(limited) == trainable
-    if limit in ("frozen-backbone", "cut-at-block1"):
-        # no vit.* gradient, no patch cache; the cut block keeps its adapter's cache alone,
-        # and a block below the cut keeps nothing
+    if limit == "frozen-backbone":
+        # no vit.* gradient and no patch cache. With adapters, block 0 keeps its
+        # adapter's cache alone and every block above keeps both; without them,
+        # no block keeps anything and no fsa.* gradient exists.
         assert not any(n.startswith("vit.") for n in limited)
-        cut = int(limit == "cut-at-block1")
+        adapters = not ablation.disable_fsa
+        assert any(n.startswith("fsa.") for n in limited) == adapters
         for (c_embed, block_caches, _), *_ in limited_tape.streams:
             assert c_embed is None
-            assert block_caches[:cut] == [(None, None)] * cut
-            assert block_caches[cut][0] is None and block_caches[cut][1] is not None
+            if adapters:
+                assert block_caches[0][0] is None
+                assert all(c_fsa is not None for _, c_fsa in block_caches)
+                assert all(c_blk is not None for c_blk, _ in block_caches[1:])
+            else:
+                assert block_caches == [(None, None)] * cfg.depth
     for name in trainable:
         assert limited[name].tobytes() == full[name].tobytes(), name
 
@@ -99,6 +97,31 @@ def _variant(fusion, rng, cfg=None):
 
 
 FUSIONS = ["vit-only", "concat", "dfm"]
+
+
+@pytest.mark.parametrize("limit", ["full-tape", "every-name", "frozen-backbone"])
+def test_model_backward_computes_no_image_gradient(rng, monkeypatch, limit):
+    cfg = tiny_cfg()
+    params = _variant("dfm", rng)
+    trainable = {"full-tape": None, "every-name": set(params),
+                 "frozen-backbone": set(trainable_names(params, freeze_backbone=True))}[limit]
+    images = rng.random((SUB_BATCH + 1, 32, 32, 3))
+    returned = []
+    for module, name in ((vit, "patch_embed_bwd"), (cnn, "cnn_backward")):
+        def spy(*args, _original=getattr(module, name), **kwargs):
+            out = _original(*args, **kwargs)
+            returned.append(out)
+            return out
+        monkeypatch.setattr(module, name, spy)
+    desc, tape = model_forward(images, params, cfg, cross=True, trainable=trainable)
+    model_backward(rng.normal(size=desc.shape), tape, params, {})
+    # a frozen backbone's tape never reaches the patch embedding
+    assert len(returned) == len(tape.streams) * (1 if limit == "frozen-backbone" else 2)
+    assert all(out.size == 0 for out in returned)
+    # the ViT's own backward still returns the image gradient on a full tape
+    fvit, c_vit = vit.vit_forward(images, params, cfg)
+    dimages = vit.vit_backward(rng.normal(size=fvit.shape), c_vit, params, {})
+    assert dimages.shape == images.shape and np.all(np.isfinite(dimages))
 
 
 @pytest.mark.parametrize("fusion", FUSIONS)
@@ -123,7 +146,8 @@ def test_stream_maps_match_full_tape_bitwise(rng, fusion):
     params = _variant(fusion, rng)
     image = rng.random((32, 32, 3))
     # the stream pass that keeps every cache, as the gradcheck path runs it
-    _, *full = model_mod._streams_forward(image[None], params, cfg, fusion, None, keep=True)
+    _, *full = model_mod._streams_forward(image[None], params, cfg, fusion, keep=True,
+                                          backbone=True)
     maps = stream_maps(image, params, cfg)
     expected = dict(zip(("fvit", "fres", "omega", "fused"), full))
     assert set(maps) == {name for name, m in expected.items() if m is not None}

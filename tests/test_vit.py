@@ -146,12 +146,3 @@ def test_permutation_equivariance_with_matching_positions(rng):
     flat1 = out1.reshape(g * g, d)
     flat2 = out2.reshape(g * g, d)
     assert np.abs(flat2 - flat1[perm]).max() < 1e-9
-
-
-@pytest.mark.parametrize("trainable,expected", [
-    (None, 0), (set(), 4), ({"head.attn.wq", "cnn.stage1.w"}, 4),
-    ({"vit.patch.pos", "fsa.block3.scale"}, 0), ({"fsa.block1.scale", "fsa.block3.dw_k"}, 1),
-    ({"vit.block2.ln1.g", "fsa.block3.scale"}, 2), ({"vit.block0.ffn.w1"}, 0),
-])
-def test_first_trained_block(trainable, expected):
-    assert vit.first_trained_block(trainable, 4) == expected
