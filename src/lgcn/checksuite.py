@@ -309,7 +309,7 @@ def _check_head():
                    params, list(params), {"fmap": fmap}, 16)
 
 
-def _check_end_to_end(name, batch, sample):
+def _check_end_to_end(name, batch, sample, rows=None):
     cfg = micro_cfg()
     params = model_mod.init_model(cfg, AblationFlags(), seed=68)
     for i in range(cfg.depth):
@@ -317,7 +317,7 @@ def _check_end_to_end(name, batch, sample):
     _redraw(params, "head.attn.wo", np.random.default_rng(80), 0.2)
     images = np.random.default_rng(69).random((batch, cfg.image_size, cfg.image_size, 3))
     _open_kink_margins(params, images, cfg, gate=True)
-    return _module(name, lambda p: model_mod.model_forward(images, p, cfg, cross=True),
+    return _module(name, lambda p: model_mod.model_forward(images, p, cfg, cross=True, rows=rows),
                    model_mod.model_backward, params, list(params), {}, 17, sample=sample)
 
 
@@ -348,6 +348,9 @@ def build_suite(scope: str = "all"):
         # Two sub-batches: audits the split backward and its in-order gradient sum.
         ("model.split_batch",
          lambda: _check_end_to_end("model.split_batch", model_mod.SUB_BATCH + 1, 2)),
+        # Image 0 twice through the row map: audits the gradient summed at `fused`.
+        ("model.repeated_image",
+         lambda: _check_end_to_end("model.repeated_image", 2, 2, rows=np.array([0, 1, 0]))),
     ]
     if scope != "all":
         checks = [(n, f) for n, f in checks if n.split(".")[0] == scope]

@@ -41,6 +41,11 @@ class ModelConfig:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
+        if self.grid % 2:  # the head's regional pooling halves the token grid
+            raise ConfigError(
+                f"image_size/patch_size = {self.grid} must be even: the head pools "
+                "the token grid into 2x2 regions"
+            )
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"

@@ -86,12 +86,16 @@ def _map(fn, items) -> list:
 class ModelTape:
     """The forward caches model_backward reads.
 
-    streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch.
+    streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch of the
+    n_images images the streams ran, each once; rows maps each head row to
+    its image (None: row i is image i).
     """
 
     streams: list
     c_head: object
     fusion: str
+    rows: object = None
+    n_images: int = 0
 
 
 def _streams_forward(images, params, cfg: ModelConfig, fusion: str, keep: bool, backbone: bool):
@@ -114,11 +118,15 @@ def _streams_forward(images, params, cfg: ModelConfig, fusion: str, keep: bool, 
     return (c_vit, c_cnn, c_align, c_dfm), fvit, fres, omega, fused
 
 
-def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainable=None):
-    """images (B, S, S, 3) -> unit descriptors (B, D_out) plus the tape.
+def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainable=None,
+                  rows=None):
+    """images (N, S, S, 3) -> unit descriptors (B, D_out) plus the tape.
 
     The variant is the parameter groups present (fusion_of). The streams run
-    in SUB_BATCH-image sub-batches, then the head on the whole batch.
+    in SUB_BATCH-image sub-batches, then the head on the whole batch. rows
+    (B,) indexes images for each head row, so an image repeated in a batch
+    runs the streams once; None or the identity takes each image once, in
+    order, and keeps the bytes of a batch without a row map.
     cross=True turns on cross-image attention in the head (training mode);
     inference keeps images independent. The tape keeps only the caches
     model_backward reads, and trainable (None: every name) decides them by
@@ -132,8 +140,13 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
     subs = [images[i:i + SUB_BATCH] for i in range(0, max(images.shape[0], 1), SUB_BATCH)]
     outs = _map(lambda x: _streams_forward(x, params, cfg, fusion, keep, backbone), subs)
     fused = outs[0][4] if len(outs) == 1 else np.concatenate([o[4] for o in outs])
+    if rows is not None and not np.array_equal(rows, np.arange(images.shape[0])):
+        fused = fused[rows]
+    else:
+        rows = None  # no row map, or the identity: the plain path, bit for bit
     desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
-    return desc, ModelTape([o[0] for o in outs], c_head if keep else None, fusion)
+    return desc, ModelTape([o[0] for o in outs], c_head if keep else None, fusion, rows,
+                           images.shape[0])
 
 
 def _streams_backward(dfused, caches, fusion: str, params) -> dict:
@@ -160,10 +173,15 @@ def model_backward(ddesc, tape: ModelTape, params, grads):
     The tape decides the gradients: a full tape gives every parameter's,
     and a frozen backbone's tape every one but the vit.* weights', bitwise
     those of the full tape. No image gradient is computed. The head runs
-    once; the sub-batches run on the pool and their gradients are added in
+    once; a repeated image's head rows are summed at `fused` in batch order.
+    The sub-batches run on the pool and their gradients are added in
     sub-batch order.
     """
     dfused = head.head_backward(ddesc, tape.c_head, grads)
+    if tape.rows is not None:
+        per_image = np.zeros((tape.n_images,) + dfused.shape[1:])
+        np.add.at(per_image, tape.rows, dfused)
+        dfused = per_image
     parts = _map(lambda i: _streams_backward(dfused[i * SUB_BATCH:(i + 1) * SUB_BATCH],
                                              tape.streams[i], tape.fusion, params),
                  range(len(tape.streams)))

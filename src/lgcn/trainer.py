@@ -21,7 +21,8 @@ from . import model as model_mod
 from .checkpoint import atomic_write, group_sha256, save_checkpoint
 from .config import AblationFlags, ModelConfig, TrainConfig
 from .params import trainable_names
-from .retrieval import geodistance_matrix, place_relations, rank, recall_at_n, search, similarities
+from .retrieval import (ManifestError, geodistance_matrix, place_relations, rank, recall_at_n,
+                        search, similarities)
 
 POSITIVE_RADIUS_M = 10.0
 NEGATIVE_RADIUS_M = 25.0
@@ -177,7 +178,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     db_records = [r for r in records if r.split == "database"]
     q_records = [r for r in records if r.split == "query"]
     if not db_records or not q_records:
-        raise ValueError("train: manifest needs both database and query records")
+        raise ManifestError("train: manifest needs both database and query records")
     db_images = images[[idx_of[r.id] for r in db_records]]
     q_images = images[[idx_of[r.id] for r in q_records]]
 
@@ -206,9 +207,13 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             a_idx = [idx_of[t.anchor] for t in chunk]
             p_idx = [idx_of[t.positive] for t in chunk]
             n_idx = [idx_of[nid] for t in chunk for nid in t.negatives]
-            batch_imgs = images[a_idx + p_idx + n_idx]
-            desc_all, tape = model_mod.model_forward(batch_imgs, params, cfg, cross=True,
-                                                     trainable=opt.trainable)
+            # Each distinct image runs the streams once, in first-occurrence
+            # order, and rows maps the batch onto them.
+            first: dict = {}
+            rows = [first.setdefault(i, len(first)) for i in a_idx + p_idx + n_idx]
+            desc_all, tape = model_mod.model_forward(images[list(first)], params, cfg,
+                                                     cross=True, trainable=opt.trainable,
+                                                     rows=np.array(rows))
             ka = np.repeat(np.arange(nb), [len(t.negatives) for t in chunk])
             a_d = desc_all[ka]
             p_d = desc_all[nb + ka]

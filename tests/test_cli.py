@@ -377,8 +377,9 @@ def _with_header(tmp_path, trained, edit):
     lambda h: h["model"].update(patch_size=0),
     lambda h: h.update(bogus=1),
     lambda h: h["model"].update(adapter_ratio=1e308),
+    lambda h: h["model"].update(image_size=72, cnn_grid=3, align_mid=6),
 ], ids=["unknown-key", "missing-key", "mistyped-value", "zero-patch", "unknown-section",
-        "huge-adapter-ratio"])
+        "huge-adapter-ratio", "odd-grid"])
 def test_bad_checkpoint_header_is_runtime_error(tmp_path, world, trained, capsys, edit):
     code, err = _eval_exit(tmp_path, world, _with_header(tmp_path, trained, edit), capsys)
     assert code == 2
@@ -649,6 +650,16 @@ def test_out_of_range_config_value_is_usage_error(tmp_path, world, capsys, key, 
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+def test_odd_token_grid_config_is_usage_error(tmp_path, world, capsys):
+    cfg = write_config(tmp_path, **{"model.image_size": 72, "model.cnn_grid": 3,
+                                    "model.align_mid": 6})
+    assert main(["train", "--config", str(cfg), "--data", str(world),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "image_size/patch_size = 9 must be even" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_paper_header_is_rejected_without_building_the_model(tmp_path, world, capsys):
     """The shape check reads the header's parameter table and draws nothing."""
     import tracemalloc
@@ -908,6 +919,19 @@ def test_gen_smallest_world_renders(tmp_path):
     assert main(["gen", "--places", "2", "--views", "1", "--size", "28",
                  "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "manifest.csv").read_text().splitlines()) == 3
+
+
+def test_world_without_a_query_split_is_usage_error(tmp_path, capsys):
+    world = tmp_path / "w"
+    assert main(["gen", "--places", "2", "--views", "1", "--size", "32",
+                 "--out", str(world)]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--data", str(world),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "needs both database and query" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [

@@ -35,6 +35,16 @@ def test_invalid_dimensions_rejected():
         run_config_from_dict({"model": {"dfm_mode": "bogus"}})
 
 
+def test_odd_token_grid_rejected_by_name():
+    # the head pools the token grid into 2x2 regions; a 9x9 grid would pass
+    # every other check and fail in the first forward
+    with pytest.raises(ConfigError, match="image_size/patch_size = 9 must be even"):
+        ModelConfig(image_size=72, cnn_grid=3, align_mid=6)
+    with pytest.raises(ConfigError, match="image_size/patch_size = 1 must be even"):
+        ModelConfig(image_size=8, patch_size=8, cnn_grid=1, align_mid=1)
+    assert ModelConfig.toy().grid == 8 and ModelConfig.paper().grid == 16
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=-1)

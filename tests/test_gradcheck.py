@@ -87,5 +87,5 @@ def test_suite_composition_is_pinned(gradcheck_suite):
         ("vit.two_block_with_adapters", 47), ("fsa.forward", 6), ("cnn.forward", 7),
         ("cnn.align_upsample", 3), ("dfm.forward", 8),
         ("head.forward", 9), ("model.end_to_end", 68),
-        ("model.split_batch", 68),
+        ("model.split_batch", 68), ("model.repeated_image", 68),
     ]

@@ -258,27 +258,78 @@ def test_descriptors_do_not_depend_on_the_batch(rng):
         assert got.tobytes() == expected.tobytes(), batch
 
 
+def _step(images, params, cfg, ddesc, rows=None, trainable=None):
+    """One training step's descriptors and gradients, cross-image attention on."""
+    desc, tape = model_forward(images, params, cfg, cross=True, trainable=trainable, rows=rows)
+    grads: dict = {}
+    model_backward(ddesc, tape, params, grads)
+    return desc, grads, tape
+
+
+# Two sub-batches of distinct images; image 0 is used three times, 3 and 9 twice.
+REPEATS = [3, 0, 9, 1, 0, 2, 4, 3, 5, 6, 7, 0, 8, 9]
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+@pytest.mark.parametrize("limit", ["full-tape", "frozen-backbone"])
+def test_repeated_images_match_the_gathered_batch(rng, fusion, limit):
+    cfg = tiny_cfg()
+    params = _variant(fusion, rng)
+    trainable = None if limit == "full-tape" else set(trainable_names(params, True))
+    images = rng.random((SUB_BATCH + 2, 32, 32, 3))
+    rows = np.array(REPEATS)
+    ddesc = rng.normal(size=(len(rows), descriptor_dim(params)))
+    desc, grads, tape = _step(images, params, cfg, ddesc, rows, trainable)
+    plain_desc, plain_grads, plain_tape = _step(images[rows], params, cfg, ddesc,
+                                                trainable=trainable)
+    # a stream row does not depend on its batch, so the head sees the same bytes
+    assert desc.tobytes() == plain_desc.tobytes()
+    assert (len(tape.streams), len(plain_tape.streams)) == (2, 2 + (len(rows) > 2 * SUB_BATCH))
+    assert list(grads) == list(plain_grads)
+    # Only the order of the summation differs. An attention key bias shifts
+    # every score of a query alike, so its exact gradient is zero and its
+    # entries are rounding: those are held to the step's largest entry.
+    top = max(np.max(np.abs(g)) for g in plain_grads.values())
+    for name, g in plain_grads.items():
+        scale = top if name.endswith(".attn.bk") else np.max(np.abs(g))
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_repeat_free_batch_keeps_its_bytes(rng, fusion):
+    """A row map without a repeat (the identity) is the plain batch, bit for bit."""
+    cfg = tiny_cfg()
+    params = _variant(fusion, rng)
+    images = rng.random((SUB_BATCH + 1, 32, 32, 3))
+    ddesc = rng.normal(size=(images.shape[0], descriptor_dim(params)))
+    desc, grads, tape = _step(images, params, cfg, ddesc, np.arange(images.shape[0]))
+    plain_desc, plain_grads, _ = _step(images, params, cfg, ddesc)
+    assert tape.rows is None
+    assert desc.tobytes() == plain_desc.tobytes()
+    assert list(grads) == list(plain_grads)
+    for name, g in plain_grads.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
 def test_step_gradients_do_not_depend_on_the_pool(rng, monkeypatch):
     cfg = ModelConfig.toy()
     params = _variant("dfm", rng, cfg)
     images = rng.random((2 * SUB_BATCH + 1, cfg.image_size, cfg.image_size, 3))
     trainable = set(trainable_names(params, freeze_backbone=True))
-    ddesc = rng.normal(size=(images.shape[0], descriptor_dim(params)))
-
-    def step():
-        desc, tape = model_forward(images, params, cfg, cross=True, trainable=trainable)
-        grads: dict = {}
-        model_backward(ddesc, tape, params, grads)
-        return desc, grads
-
-    desc, grads = step()
+    # one row per image, then a row map with repeats that leaves images 10-16 unused
+    steps = []
+    for rows in (None, np.array(REPEATS)):
+        ddesc = rng.normal(size=(len(images if rows is None else rows), descriptor_dim(params)))
+        steps.append((rows, ddesc))
+    pooled = [_step(images, params, cfg, ddesc, rows, trainable) for rows, ddesc in steps]
     monkeypatch.setattr(model_mod, "_POOL", ThreadPoolExecutor(1))
-    one_desc, one_grads = step()
+    inline = [_step(images, params, cfg, ddesc, rows, trainable) for rows, ddesc in steps]
     model_mod._POOL.shutdown()
-    assert one_desc.tobytes() == desc.tobytes()
-    assert list(one_grads) == list(grads)
-    for name, g in grads.items():
-        assert one_grads[name].tobytes() == g.tobytes(), name
+    for (desc, grads, _), (one_desc, one_grads, _) in zip(pooled, inline):
+        assert one_desc.tobytes() == desc.tobytes()
+        assert list(one_grads) == list(grads)
+        for name, g in grads.items():
+            assert one_grads[name].tobytes() == g.tobytes(), name
 
 
 def test_pool_sizes_itself_without_sched_getaffinity(rng, monkeypatch):

@@ -362,3 +362,36 @@ def test_report_rows_record_each_epochs_mining(monkeypatch):
     assert [(row["triplets"], row["skipped"]) for row in report.rows] == \
         [(None, None)] + [(len(m.triplets), m.skipped) for m in mined]
     assert len(mined) == 2 and all(m.skipped == 1 and m.triplets for m in mined)
+
+
+def test_streams_see_each_distinct_image_once_per_step(monkeypatch):
+    from lgcn import model as model_mod
+    cfg = tiny_cfg()
+    ablation = AblationFlags()
+    records, images = make_world(11, 4, 4)
+    steps = []  # per training step: (row map, images the streams ran)
+    real_forward, real_streams = model_mod.model_forward, model_mod._streams_forward
+
+    def forward(*args, **kwargs):
+        if kwargs.get("cross"):
+            steps.append((kwargs["rows"], []))
+        return real_forward(*args, **kwargs)
+
+    def streams(sub, params, cfg, fusion, keep, backbone):
+        if keep:  # a training step's tape; validation encodes keep none
+            steps[-1][1].append(sub)
+        return real_streams(sub, params, cfg, fusion, keep, backbone)
+
+    monkeypatch.setattr(model_mod, "model_forward", forward)
+    monkeypatch.setattr(model_mod, "_streams_forward", streams)
+    params = init_model(cfg, ablation, seed=5)
+    tc = TrainConfig(epochs=1, batch_size=4, seed=5)
+    trainer.train(params, cfg, ablation, records, images, tc)
+    assert steps
+    repeats = 0
+    for rows, subs in steps:
+        seen = [img.tobytes() for img in np.concatenate(subs)]
+        assert len(set(seen)) == len(seen) == rows.max() + 1  # each image once, none unused
+        assert sorted(set(rows.tolist())) == list(range(len(seen)))
+        repeats += len(rows) - len(seen)
+    assert repeats > 0  # each step: 4 triplets of 6 images over 8 database images
