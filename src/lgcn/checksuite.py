@@ -149,17 +149,10 @@ def _check_gem():
 
 def _check_frequency_branch():
     r = _rng(15)
-    x = r.normal(size=(4, 4, 3))[None]
-    gains_log = r.normal(size=(4, 4, 3)) * 0.3
-    w = probe_weights((4, 4, 3), seed=8)[None]
-
-    def fn(p):
-        gains = np.exp(p["gains_log"])
-        y, cache = spectral.frequency_branch_fwd(p["x"], gains)
-        dx, dgains = spectral.frequency_branch_bwd(w, cache)
-        return float((w * y).sum()), {"x": dx, "gains_log": dgains * gains}
-
-    return _probe(fn, {"x": x, "gains_log": gains_log}, "spectral.frequency_branch")
+    inputs = {"x": r.normal(size=(1, 4, 6, 3)),  # H != W audits the bin pairing
+              "gains": np.exp(r.normal(size=(spectral.n_bins(4, 6), 3)) * 0.3)}
+    return _op("spectral.frequency_branch", spectral.frequency_branch_fwd,
+               spectral.frequency_branch_bwd, inputs)
 
 
 def _check_triplet():

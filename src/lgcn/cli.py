@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import ops
+from . import ops, spectral
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_descriptors
 from .checksuite import run_suite
 from .config import (ConfigError, dump_run_config, load_run_config, run_config_from_dict,
@@ -145,6 +145,7 @@ def cmd_train(args) -> int:
 def _load_model(path):
     """Parameters and model config of a checkpoint that matches its header."""
     params, header = load_checkpoint(path)
+    params = {n: v for n, v in params.items() if not n.endswith(".attn.bk")}  # old key biases
     try:  # both sections are required: a None in their place fails the parser
         cfg = run_config_from_dict({"model": None, "ablation": None, **header})
     except ConfigError as exc:
@@ -155,9 +156,12 @@ def _load_model(path):
         raise CheckpointError(f"{path}: the file's {len(params)} tensors differ from the "
                               "header's model, which has more")
     shapes = {n: shape for n, shape, _ in spec}
+    g = cfg.model.grid
     for n, shape in shapes.items():  # earlier versions wrote 0-d tensors as shape (1,)
         if shape == () and n in params and params[n].shape == (1,):
             params[n] = params[n].reshape(())
+        elif n.endswith(".gains_log") and n in params and params[n].shape == (g, g, shape[1]):
+            params[n] = spectral.fold_gains_log(params[n])  # and gains as a (G, G, C) field
     bad = sorted(n for n in shapes.keys() | params.keys()
                  if n not in params or shapes.get(n) != params[n].shape)
     if bad:

@@ -56,7 +56,7 @@ class ModelConfig:
                 f"and grid {self.grid}"
             )
         stage_out = self.image_size // 8  # three stride-2 stages
-        if stage_out % self.cnn_grid != 0:
+        if stage_out < 1 or stage_out % self.cnn_grid != 0:
             raise ConfigError(
                 f"image_size/8 = {stage_out} not divisible by cnn_grid {self.cnn_grid}"
             )
@@ -211,11 +211,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "model": dataclasses.asdict(cfg.model),
-        "train": dataclasses.asdict(cfg.train),
-        "ablation": dataclasses.asdict(cfg.ablation),
-    }
+    return dataclasses.asdict(cfg)  # {"model": {...}, "train": {...}, "ablation": {...}}
 
 
 def load_run_config(path: str | None) -> RunConfig:

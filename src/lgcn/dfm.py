@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .params import ONES, ZEROS, acc_grad, normal
+from .params import ONES, ZEROS, acc_grad, linear_grads, normal
 
 def dfm_spec(cfg) -> list:
     d, d4 = cfg.embed_dim, cfg.gate_dim
@@ -37,15 +37,8 @@ def gate_weights_fwd(f, params):
 
 def gate_weights_bwd(domega, cache, grads):
     c1, c_relu, c2, c_sig = cache
-    dh2 = ops.sigmoid_bwd(domega, c_sig)
-    da1, dw2, db2 = ops.linear_bwd(dh2, c2)
-    acc_grad(grads, "dfm.w2", dw2)
-    acc_grad(grads, "dfm.b2", db2)
-    dh1 = ops.relu_bwd(da1, c_relu)
-    df, dw1, db1 = ops.linear_bwd(dh1, c1)
-    acc_grad(grads, "dfm.w1", dw1)
-    acc_grad(grads, "dfm.b1", db1)
-    return df
+    da1 = linear_grads(ops.sigmoid_bwd(domega, c_sig), c2, grads, "dfm.w2", "dfm.b2")
+    return linear_grads(ops.relu_bwd(da1, c_relu), c1, grads, "dfm.w1", "dfm.b1")
 
 
 def dfm_forward(fvit, fres, params):

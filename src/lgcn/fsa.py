@@ -2,8 +2,8 @@
 
 Two branches act on a bottlenecked copy of the patch-token map. The spatial
 branch is a depthwise 3x3 convolution with GELU; the frequency branch scales
-the amplitude spectrum of each channel with learnable positive per-bin gains
-while preserving phase. Branch outputs are concatenated along channels,
+the amplitude spectrum of each channel with learnable positive gains, one per
+independent bin, keeping phase. Branch outputs are concatenated along channels,
 projected back to the token width, scaled, and added to the tokens as a
 residual. The fusion projection starts at zero, so a fresh adapter is an
 exact no-op.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops, spectral
-from .params import ZEROS, acc_grad, const, normal
+from .params import ZEROS, acc_grad, const, linear_grads, normal
 
 
 def _identity_taps(rng, shape):
@@ -29,7 +29,7 @@ def fsa_spec(cfg, prefix: str) -> list:
     return [
         (f"{prefix}.down_w", (d, cr), normal()),
         (f"{prefix}.dw_k", (cr, 3, 3), _identity_taps),
-        (f"{prefix}.gains_log", (g, g, cr), ZEROS),
+        (f"{prefix}.gains_log", (spectral.n_bins(g, g), cr), ZEROS),  # one row per bin pair
         (f"{prefix}.fuse_w", (2 * cr, d), ZEROS),
         (f"{prefix}.scale", (), const(0.1)),  # the residual scale a fresh adapter starts at
     ]
@@ -77,16 +77,14 @@ def fsa_backward(dres, cache, params, grads):
     dout_map = dres[:, 1:, :].reshape(B, g, g, d)
     acc_grad(grads, f"{prefix}.scale", np.array((dout_map * fused).sum()))
     dfused = dout_map * s
-    dcat, dfuse_w, _ = ops.linear_bwd(dfused, c_fuse)
-    acc_grad(grads, f"{prefix}.fuse_w", dfuse_w)
+    dcat = linear_grads(dfused, c_fuse, grads, f"{prefix}.fuse_w")
     dsp = dcat[..., :cr]
     dfr = dcat[..., cr:]
     ddown_f, dgains = spectral.frequency_branch_bwd(dfr, c_fr)
     acc_grad(grads, f"{prefix}.gains_log", dgains * gains)
     ddown_s, dk = spatial_branch_bwd(dsp, c_sp)
     acc_grad(grads, f"{prefix}.dw_k", dk)
-    dfmap, ddown_w, _ = ops.linear_bwd(ddown_f + ddown_s, c_down)
-    acc_grad(grads, f"{prefix}.down_w", ddown_w)
+    dfmap = linear_grads(ddown_f + ddown_s, c_down, grads, f"{prefix}.down_w")
     dtokens = np.zeros((B, 1 + g * g, d), dtype=dres.dtype)
     dtokens[:, 1:, :] = dfmap.reshape(B, g * g, d)
     return dtokens

@@ -28,7 +28,7 @@ def head_spec(channels: int) -> list:
     return [
         *((f"head.attn.{proj}", (channels, channels), normal()) for proj in ("wq", "wk", "wv")),
         ("head.attn.wo", (channels, channels), ZEROS),  # attention is a no-op at init
-        *((f"head.attn.{bias}", (channels,), ZEROS) for bias in ("bq", "bk", "bv", "bo")),
+        *((f"head.attn.{bias}", (channels,), ZEROS) for bias in ("bq", "bv", "bo")),
     ]
 
 

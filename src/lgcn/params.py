@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
+
 BACKBONE_PREFIX = "vit."
 
 
@@ -13,6 +15,16 @@ def acc_grad(grads: dict, name: str, g: np.ndarray) -> None:
         grads[name] = grads[name] + g
     else:
         grads[name] = g
+
+
+def linear_grads(dy, cache, grads: dict, w_name: str, b_name=None, weights=True, inputs=True):
+    """dx of a linear layer; with weights, its weight and bias (if any) gradients go to grads."""
+    dx, dw, db = ops.linear_bwd(dy, cache, inputs, weights)
+    if weights:
+        acc_grad(grads, w_name, dw)
+        if db is not None:
+            acc_grad(grads, b_name, db)
+    return dx
 
 
 def normal(std=0.02):

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import fsa, ops
-from .params import ONES, ZEROS, acc_grad, normal
+from .params import ONES, ZEROS, acc_grad, linear_grads, normal
 
 FFN_RATIO = 4
 
@@ -31,7 +31,8 @@ def vit_spec(cfg):
              ("vit.patch.cls", (d,), normal())]
     block = [("ln1.g", (d,), ONES), ("ln1.b", (d,), ZEROS),
              *((f"attn.{proj}", (d, d), normal()) for proj in ("wq", "wk", "wv", "wo")),
-             *((f"attn.{bias}", (d,), ZEROS) for bias in ("bq", "bk", "bv", "bo")),
+             # no key bias: it shifts all of a query's scores alike, which the softmax ignores
+             *((f"attn.{bias}", (d,), ZEROS) for bias in ("bq", "bv", "bo")),
              ("ln2.g", (d,), ONES), ("ln2.b", (d,), ZEROS),
              ("ffn.w1", (d, h), normal()), ("ffn.b1", (h,), ZEROS),
              ("ffn.w2", (h, d), normal()), ("ffn.b2", (d,), ZEROS)]
@@ -65,20 +66,11 @@ def patch_embed_bwd(dtokens, cache, grads, image_grad=True):
     dtok = dtokens[:, 1:, :]
     acc_grad(grads, "vit.patch.cls", dtokens[:, 0, :].sum(axis=0))
     acc_grad(grads, "vit.patch.pos", dtok.sum(axis=0))
-    dpatches = _linear_bwd(dtok, c_lin, grads, "vit.patch.proj_w", "vit.patch.proj_b",
-                           inputs=image_grad)
+    dpatches = linear_grads(dtok, c_lin, grads, "vit.patch.proj_w", "vit.patch.proj_b",
+                            inputs=image_grad)
     if dpatches is None:
         return np.empty(0)
     return dpatches.reshape(B, g, g, p, p, 3).transpose(0, 1, 3, 2, 4, 5).reshape(B, g * p, g * p, 3)
-
-
-def _linear_bwd(dy, cache, grads, w_name, b_name, weights=True, inputs=True):
-    """dx of a linear layer; with weights, its weight and bias gradients go to grads."""
-    dx, dw, db = ops.linear_bwd(dy, cache, inputs, weights)
-    if weights:
-        acc_grad(grads, w_name, dw)
-        acc_grad(grads, b_name, db)
-    return dx
 
 
 def _layernorm_bwd(dy, cache, grads, prefix, weights):
@@ -102,7 +94,7 @@ def _merge_heads(x):
 def mhsa_fwd(x, params, prefix, n_heads, keep=True):
     """Multi-head self-attention with an output projection; keep=False returns no cache."""
     q, cq = ops.linear_fwd(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k, ck = ops.linear_fwd(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    k, ck = ops.linear_fwd(x, params[f"{prefix}.wk"])
     v, cv = ops.linear_fwd(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     oh, c_att = ops.attention_fwd(qh, kh, vh)
@@ -113,13 +105,13 @@ def mhsa_fwd(x, params, prefix, n_heads, keep=True):
 
 def mhsa_bwd(dy, cache, grads, weights=True):
     cq, ck, cv, c_att, co, n_heads, prefix = cache
-    dmerged = _linear_bwd(dy, co, grads, f"{prefix}.wo", f"{prefix}.bo", weights)
+    dmerged = linear_grads(dy, co, grads, f"{prefix}.wo", f"{prefix}.bo", weights)
     doh = _split_heads(dmerged, n_heads)
     dqh, dkh, dvh = ops.attention_bwd(doh, c_att)
     dx = np.zeros_like(dy)
-    for dh, clin, wname, bname in ((dqh, cq, "wq", "bq"), (dkh, ck, "wk", "bk"), (dvh, cv, "wv", "bv")):
-        dx = dx + _linear_bwd(_merge_heads(dh), clin, grads, f"{prefix}.{wname}",
-                              f"{prefix}.{bname}", weights)
+    for dh, clin, proj in ((dqh, cq, "q"), (dkh, ck, "k"), (dvh, cv, "v")):
+        dx = dx + linear_grads(_merge_heads(dh), clin, grads, f"{prefix}.w{proj}",
+                               f"{prefix}.b{proj}", weights)
     return dx
 
 
@@ -132,9 +124,9 @@ def ffn_fwd(x, params, prefix, keep=True):
 
 def ffn_bwd(dy, cache, grads, weights=True):
     c1, ca, c2, prefix = cache
-    da1 = _linear_bwd(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2", weights)
+    da1 = linear_grads(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2", weights)
     dh1 = ops.gelu_bwd(da1, ca)
-    return _linear_bwd(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", weights)
+    return linear_grads(dh1, c1, grads, f"{prefix}.w1", f"{prefix}.b1", weights)
 
 
 def vit_block_fwd(x, params, prefix, cfg, keep: bool):

@@ -585,6 +585,40 @@ def test_checkpoint_with_scalars_stored_as_shape_1_evaluates_unchanged(tmp_path,
     assert reports[0] == reports[1]
 
 
+def test_legacy_gain_fields_and_key_biases_load_folded(tmp_path, world, trained):
+    # the layout earlier versions wrote: each adapter's gains_log as a full
+    # (G, G, C) field, whose mirrored bins need not agree, and attention key biases
+    from lgcn.checkpoint import load_descriptors, save_checkpoint
+    from lgcn.spectral import fold_gains_log
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    g = header["model"]["image_size"] // header["model"]["patch_size"]
+    gen = np.random.default_rng(3)
+    legacy, folded = {}, {}
+    for n, v in params.items():
+        if n.endswith(".gains_log"):
+            legacy[n] = gen.normal(size=(g, g, v.shape[1])) * 0.3
+            folded[n] = fold_gains_log(legacy[n])
+        else:
+            legacy[n] = folded[n] = v
+        if n.endswith(".attn.bq"):  # the key bias came next
+            legacy[n[:-1] + "k"] = gen.normal(size=v.shape)
+    assert sum(n.endswith(".attn.bk") for n in legacy) == TINY_MODEL["depth"] + 1
+    dumps = []
+    for name, tensors in (("legacy", legacy), ("folded", folded)):
+        ckpt, out = tmp_path / f"{name}.ckpt", tmp_path / name
+        save_checkpoint(ckpt, tensors, header)
+        out.mkdir()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                     "--out", str(out / "r.json"), "--dump-descriptors", str(out / "d.desc")]) == 0
+        assert main(["heatmap", "--checkpoint", str(ckpt), "--image",
+                     str(world / "images" / "p0000_v0.ppm"), "--out", str(out / "h")]) == 0
+        dumps.append(load_descriptors(out / "d.desc"))
+    assert np.abs(dumps[0] - dumps[1]).max() <= 1e-12
+    assert not np.allclose(folded["fsa.block0.gains_log"], 0.0)  # the fold is exercised
+    for ppm in sorted((tmp_path / "folded" / "h").iterdir()):
+        assert sha(tmp_path / "legacy" / "h" / ppm.name) == sha(ppm), ppm.name
+
+
 def test_legacy_static_fusion_config_trains_concat(tmp_path, world):
     cfg = write_config(tmp_path, **{"ablation.static_fusion": True})
     out = tmp_path / "run"

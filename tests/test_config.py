@@ -1,10 +1,13 @@
 """Config parsing and presets."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcn.config import (AblationFlags, ConfigError, ModelConfig, RunConfig,
                          TrainConfig, run_config_from_dict, run_config_to_dict)
-from lgcn.model import fusion_of, init_model
+from lgcn.model import fusion_of, init_model, model_backward, model_forward
 
 
 def test_toy_preset_dimensions():
@@ -43,6 +46,55 @@ def test_odd_token_grid_rejected_by_name():
     with pytest.raises(ConfigError, match="image_size/patch_size = 1 must be even"):
         ModelConfig(image_size=8, patch_size=8, cnn_grid=1, align_mid=1)
     assert ModelConfig.toy().grid == 8 and ModelConfig.paper().grid == 16
+
+
+def test_image_smaller_than_the_local_stream_is_rejected():
+    # image_size/8 = 0 passed the divisibility check and failed in the first forward
+    with pytest.raises(ConfigError, match="image_size/8 = 0 not divisible by cnn_grid 1"):
+        ModelConfig(image_size=4, patch_size=2, cnn_grid=1, align_mid=1)
+
+
+@st.composite
+def model_fields(draw):
+    """Small ModelConfig fields: a consistent draw, then often one field moved by one.
+
+    Most moves break a check, so draws both pass and fail the parser.
+    """
+    cnn_grid = draw(st.integers(1, 3))
+    image_size = 8 * cnn_grid * draw(st.integers(1, 4))
+    patch_size = draw(st.sampled_from([p for p in range(1, 17) if image_size % p == 0
+                                       and cnn_grid <= image_size // p <= 16
+                                       and image_size // p % 2 == 0]))
+    num_heads = draw(st.integers(1, 4))
+    fields = dict(image_size=image_size, patch_size=patch_size, num_heads=num_heads,
+                  embed_dim=num_heads * draw(st.integers(1, 2)), depth=1,
+                  cnn_channels=draw(st.integers(1, 4)), cnn_grid=cnn_grid,
+                  align_mid=draw(st.integers(cnn_grid, image_size // patch_size)))
+    moved = draw(st.sampled_from([None, *fields]))
+    if moved:
+        fields[moved] += draw(st.sampled_from([-1, 1]))
+    return fields
+
+
+@settings(max_examples=50, deadline=None)
+@given(model_fields(), st.integers(0, 2 ** 32 - 1))
+def test_every_config_the_parser_accepts_runs(fields, seed):
+    """A config raises ConfigError, or every fusion runs a cross-image step with finite values."""
+    try:
+        cfg = ModelConfig(**fields)
+    except ConfigError:
+        return
+    gen = np.random.default_rng(seed)
+    images = gen.random((2, cfg.image_size, cfg.image_size, 3))
+    for fusion, flags in (("dfm", AblationFlags()), ("concat", AblationFlags(disable_dfm=True)),
+                          ("vit-only", AblationFlags(disable_cnn_stream=True))):
+        params = init_model(cfg, flags, seed=0)
+        assert fusion_of(params) == fusion
+        desc, tape = model_forward(images, params, cfg, cross=True)
+        grads = {}
+        model_backward(gen.normal(size=desc.shape), tape, params, grads)
+        assert np.all(np.isfinite(desc)) and sorted(grads) == sorted(params)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 def test_train_config_validation():

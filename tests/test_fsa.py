@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lgcn import fsa, ops, vit
+from lgcn import fsa, ops, spectral, vit
 from lgcn.config import ModelConfig
 from lgcn.params import draw
 
@@ -97,7 +97,7 @@ def test_fsa_matches_hand_composed_pipeline(rng):
     fmap = tokens[:, 1:, :].reshape(2, g, g, d)
     down = fmap @ params["fsa.block0.down_w"]
     sp = ops.gelu_fwd(ops.depthwise_conv2d_fwd(down, params["fsa.block0.dw_k"], padding=1)[0])[0]
-    gains = np.exp(params["fsa.block0.gains_log"])
+    gains = np.exp(params["fsa.block0.gains_log"])[spectral._bin_rows(g, g)].reshape(g, g, cr)
     fr = np.fft.ifft2(gains * np.fft.fft2(down, axes=(1, 2)), axes=(1, 2)).real
     fused = np.concatenate([sp, fr], axis=-1) @ params["fsa.block0.fuse_w"]
     expected = fused * params["fsa.block0.scale"]

@@ -65,7 +65,7 @@ def test_cross_image_b2_matches_from_scratch_attention(rng):
 
     seq = tokens.reshape(1, 8, 16)
     q, _ = ops.linear_fwd(seq, params["head.attn.wq"], params["head.attn.bq"])
-    k, _ = ops.linear_fwd(seq, params["head.attn.wk"], params["head.attn.bk"])
+    k, _ = ops.linear_fwd(seq, params["head.attn.wk"])
     v, _ = ops.linear_fwd(seq, params["head.attn.wv"], params["head.attn.bv"])
     qh = vit._split_heads(q, 4)
     kh = vit._split_heads(k, 4)

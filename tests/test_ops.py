@@ -463,16 +463,19 @@ def test_ops_preserve_finiteness(rng, scale):
 _TOY = ModelConfig.toy()
 
 
+_GAINS = np.ones((spectral.n_bins(4, 4), 3))  # the frequency branch's gain rows on a 4x4x3 map
+
+
 def _branch_bwd(dy):
     """The frequency branch's backward, handed dy of any rank after a valid forward."""
-    _, cache = spectral.frequency_branch_fwd(np.ones((1,) + dy.shape[-3:]), np.ones(dy.shape[-3:]))
+    _, cache = spectral.frequency_branch_fwd(np.ones((1, 4, 4, 3)), _GAINS)
     return spectral.frequency_branch_bwd(dy, cache)
 
 
 # case -> (op named in the error, side of the square map it is given, call on that map).
-# The frequency branch's forward (x) and backward (dy) each take the DFT of
-# the map they are handed and return its inverse DFT; their cases keep the
-# names of the dft2d and idft2d ops the branch replaced.
+# The frequency branch's forward (x) and backward (dy) each transform the map
+# they are handed and transform the result back; their cases keep the names
+# of the dft2d and idft2d ops the branch replaced.
 _MAP_OPS = {
     "conv2d": ("conv2d", 4, lambda x: ops.conv2d_fwd(x, np.ones((1, 3, 1, 1)))),
     "depthwise_conv2d": ("depthwise_conv2d", 4,
@@ -481,7 +484,7 @@ _MAP_OPS = {
     "bilinear_resize": ("bilinear_resize", 4, lambda x: ops.bilinear_resize_fwd(x, 3, 3)),
     "gem_pool": ("gem_pool", 4, lambda x: ops.gem_pool_fwd(x, WHOLE_MAP)),
     "dft2d": ("frequency_branch", 4,
-              lambda x: spectral.frequency_branch_fwd(x, np.ones(x.shape[-3:]))),
+              lambda x: spectral.frequency_branch_fwd(x, _GAINS)),
     "idft2d": ("frequency_branch", 4, _branch_bwd),
     "patch_embed": ("patch_embed", _TOY.image_size, lambda x: vit.patch_embed_fwd(x, {}, _TOY)),
 }

@@ -94,7 +94,7 @@ def test_attention_rows_sum_to_one_in_blocks(rng):
     params = draw(vit.vit_spec(cfg), rng)
     x = rng.normal(size=(2, 65, 64))
     q, _ = ops.linear_fwd(x, params["vit.block0.attn.wq"], params["vit.block0.attn.bq"])
-    k, _ = ops.linear_fwd(x, params["vit.block0.attn.wk"], params["vit.block0.attn.bk"])
+    k, _ = ops.linear_fwd(x, params["vit.block0.attn.wk"])
     qh = vit._split_heads(q, cfg.num_heads)
     kh = vit._split_heads(k, cfg.num_heads)
     scores = (qh @ np.swapaxes(kh, -1, -2)) / np.sqrt(cfg.head_dim)
