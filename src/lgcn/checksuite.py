@@ -297,8 +297,14 @@ def _check_head():
     params = draw(head.head_spec(cfg.embed_dim), gen)
     _redraw(params, "head.attn.wo", gen, 0.2)
     fmap = np.random.default_rng(67).normal(size=(2, cfg.grid, cfg.grid, cfg.embed_dim))
-    return _module("head.forward", lambda x, p: head.head_forward(x, p, cfg.num_heads, cross=True),
-                   lambda dy, c, p, g: head.head_backward(dy, c, g),
+
+    def fwd(x, p):  # GeM runs with the streams in the model; audited here as one module
+        pooled, c_pool = head.regional_pool_fwd(x)
+        desc, c_head = head.head_forward(pooled, p, cfg.num_heads, cross=True)
+        return desc, (c_pool, c_head)
+
+    return _module("head.forward", fwd,
+                   lambda dy, c, p, g: ops.gem_pool_bwd(head.head_backward(dy, c[1], g), c[0]),
                    params, list(params), {"fmap": fmap}, 16)
 
 
@@ -341,7 +347,7 @@ def build_suite(scope: str = "all"):
         # Two sub-batches: audits the split backward and its in-order gradient sum.
         ("model.split_batch",
          lambda: _check_end_to_end("model.split_batch", model_mod.SUB_BATCH + 1, 2)),
-        # Image 0 twice through the row map: audits the gradient summed at `fused`.
+        # Image 0 twice through the row map: audits the gradient summed at `pooled`.
         ("model.repeated_image",
          lambda: _check_end_to_end("model.repeated_image", 2, 2, rows=np.array([0, 1, 0]))),
     ]

@@ -155,6 +155,10 @@ def _load_model(path):
     if len(spec) > len(params):
         raise CheckpointError(f"{path}: the file's {len(params)} tensors differ from the "
                               "header's model, which has more")
+    bad = sorted(n for n, v in params.items() if not np.all(np.isfinite(v)))
+    if bad:  # ahead of the fold below, which would warn on them
+        raise CheckpointError(f"{path}: {len(bad)} tensors hold NaN or infinite values, "
+                              f"such as {', '.join(bad[:3])}")
     shapes = {n: shape for n, shape, _ in spec}
     g = cfg.model.grid
     for n, shape in shapes.items():  # earlier versions wrote 0-d tensors as shape (1,)
@@ -167,10 +171,6 @@ def _load_model(path):
     if bad:
         raise CheckpointError(f"{path}: {len(bad)} tensor names or shapes differ from the "
                               f"header's model, such as {', '.join(bad[:3])}")
-    bad = sorted(n for n, v in params.items() if not np.all(np.isfinite(v)))
-    if bad:
-        raise CheckpointError(f"{path}: {len(bad)} tensors hold NaN or infinite values, "
-                              f"such as {', '.join(bad[:3])}")
     return params, cfg.model
 
 

@@ -5,7 +5,8 @@ half, center crop), each with a generalized mean. One attention layer then
 lets region tokens exchange information: across the whole batch during
 training, strictly within each image at inference, so retrieval never
 depends on which other images shared a batch. Concatenating the region
-vectors and normalizing yields the global descriptor.
+vectors and normalizing yields the global descriptor. The model pools each
+image with its streams, so head_forward starts at the region tokens.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def cross_image_correlate_fwd(tokens, params, n_heads, cross: bool):
 
 
 def cross_image_correlate_bwd(dy, cache, grads):
-    c_att, cross, shape = cache
-    B, r, c = shape
+    c_att, cross, (B, r, c) = cache
     dseq = dy.reshape(1, B * r, c) if cross else dy
     dtok = mhsa_bwd(dseq, c_att, grads) + dseq
     return dtok.reshape(B, r, c)
@@ -90,15 +90,14 @@ def finalize_bwd(ddesc, cache):
     return dflat.reshape(B, r, c)
 
 
-def head_forward(fmap, params, n_heads, cross: bool):
-    pooled, c_pool = regional_pool_fwd(fmap)
+def head_forward(pooled, params, n_heads, cross: bool):
+    """Region tokens (B, R, C), as regional_pool_fwd pools them, -> unit descriptors."""
     corr, c_corr = cross_image_correlate_fwd(pooled, params, n_heads, cross)
     desc, c_fin = finalize_fwd(corr)
-    return desc, (c_pool, c_corr, c_fin)
+    return desc, (c_corr, c_fin)
 
 
 def head_backward(ddesc, cache, grads):
-    c_pool, c_corr, c_fin = cache
-    dcorr = finalize_bwd(ddesc, c_fin)
-    dpooled = cross_image_correlate_bwd(dcorr, c_corr, grads)
-    return ops.gem_pool_bwd(dpooled, c_pool)
+    """The region tokens' gradient; the attention weights' go to grads."""
+    c_corr, c_fin = cache
+    return cross_image_correlate_bwd(finalize_bwd(ddesc, c_fin), c_corr, grads)

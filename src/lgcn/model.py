@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cnn, dfm, fsa, head, vit
+from . import cnn, dfm, fsa, head, ops, vit
 from .config import AblationFlags, ModelConfig
 from .params import BACKBONE_PREFIX, acc_grad, draw
 
@@ -61,9 +61,9 @@ def init_model(cfg: ModelConfig, ablation: AblationFlags, seed: int) -> dict:
     return draw(param_spec(cfg, ablation), np.random.default_rng(seed))
 
 
-# Images per stream pass. Each image's work ends at `fused`, so sub-batches run
-# on the pool and only the head sees the whole batch. A constant, so neither
-# the pool's size nor the host moves a byte.
+# Images per stream pass. Each image's work ends at its pooled region tokens, so
+# sub-batches run on the pool and only the head's attention sees the whole
+# batch. A constant, so neither the pool's size nor the host moves a byte.
 SUB_BATCH = 8
 
 _POOL = None
@@ -82,13 +82,20 @@ def _map(fn, items) -> list:
     return list(_POOL.map(fn, items))
 
 
+def image_prefix(images, params, cfg: ModelConfig) -> np.ndarray:
+    """vit.vit_prefix of each image, in SUB_BATCH sub-batches on the pool."""
+    return np.concatenate(_map(lambda i: vit.vit_prefix(images[i:i + SUB_BATCH], params, cfg),
+                               range(0, images.shape[0], SUB_BATCH)))
+
+
 @dataclass
 class ModelTape:
     """The forward caches model_backward reads.
 
-    streams holds one (c_vit, c_cnn, c_align, c_dfm) per sub-batch of the
-    n_images images the streams ran, each once; rows maps each head row to
-    its image (None: row i is image i).
+    streams holds one (c_vit, c_cnn, c_align, c_dfm, c_pool) per sub-batch
+    of the n_images images the streams and GeM ran, each once; c_head starts
+    at the pooled tokens, and rows maps each head row to its image (None:
+    row i is image i).
     """
 
     streams: list
@@ -98,11 +105,11 @@ class ModelTape:
     n_images: int = 0
 
 
-def _streams_forward(images, params, cfg: ModelConfig, fusion: str, keep: bool, backbone: bool):
-    """One sub-batch through both streams: (caches, fvit, fres, omega, fused)."""
-    fvit, c_vit = vit.vit_forward(images, params, cfg, keep, backbone)
-    c_cnn = c_align = c_dfm = None
-    fres = omega = None
+def _streams_forward(images, params, cfg: ModelConfig, fusion: str, keep: bool, backbone: bool,
+                     prefix=None):
+    """One sub-batch through both streams and GeM: (caches, fvit, fres, omega, fused, pooled)."""
+    fvit, c_vit = vit.vit_forward(images, params, cfg, keep, backbone, prefix)
+    c_cnn = c_align = c_dfm = fres = omega = None
     if fusion == "vit-only":
         fused = fvit
     else:
@@ -113,20 +120,23 @@ def _streams_forward(images, params, cfg: ModelConfig, fusion: str, keep: bool, 
             omega = c_dfm[2]
         else:
             fused = np.concatenate([fvit, fres], axis=-1)
+    pooled, c_pool = head.regional_pool_fwd(fused)
     if not keep:
-        c_align = c_dfm = None
-    return (c_vit, c_cnn, c_align, c_dfm), fvit, fres, omega, fused
+        c_align = c_dfm = c_pool = None
+    return (c_vit, c_cnn, c_align, c_dfm, c_pool), fvit, fres, omega, fused, pooled
 
 
 def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainable=None,
-                  rows=None):
+                  rows=None, prefix=None):
     """images (N, S, S, 3) -> unit descriptors (B, D_out) plus the tape.
 
-    The variant is the parameter groups present (fusion_of). The streams run
-    in SUB_BATCH-image sub-batches, then the head on the whole batch. rows
-    (B,) indexes images for each head row, so an image repeated in a batch
-    runs the streams once; None or the identity takes each image once, in
-    order, and keeps the bytes of a batch without a row map.
+    The variant is the parameter groups present (fusion_of). The streams and
+    GeM run in SUB_BATCH-image sub-batches, then the head's attention on the
+    whole batch. rows (B,) indexes images for each head row, so an image
+    repeated in a batch runs them once; None or the identity takes each
+    image once, in order, and keeps the bytes of a batch without a row map.
+    prefix, the images' image_prefix, replaces the ViT's image-only work,
+    bit for bit, under a frozen backbone.
     cross=True turns on cross-image attention in the head (training mode);
     inference keeps images independent. The tape keeps only the caches
     model_backward reads, and trainable (None: every name) decides them by
@@ -136,22 +146,24 @@ def model_forward(images, params, cfg: ModelConfig, cross: bool = False, trainab
     fusion = fusion_of(params)
     keep = trainable is None or bool(trainable)
     backbone = trainable is None or any(n.startswith(BACKBONE_PREFIX) for n in trainable)
-    # An empty batch is one empty sub-batch.
-    subs = [images[i:i + SUB_BATCH] for i in range(0, max(images.shape[0], 1), SUB_BATCH)]
-    outs = _map(lambda x: _streams_forward(x, params, cfg, fusion, keep, backbone), subs)
-    fused = outs[0][4] if len(outs) == 1 else np.concatenate([o[4] for o in outs])
+    outs = _map(lambda i: _streams_forward(
+        images[i:i + SUB_BATCH], params, cfg, fusion, keep, backbone,
+        None if prefix is None else prefix[i:i + SUB_BATCH]),
+        range(0, max(images.shape[0], 1), SUB_BATCH))  # an empty batch is one empty sub-batch
+    pooled = outs[0][5] if len(outs) == 1 else np.concatenate([o[5] for o in outs])
     if rows is not None and not np.array_equal(rows, np.arange(images.shape[0])):
-        fused = fused[rows]
+        pooled = pooled[rows]
     else:
         rows = None  # no row map, or the identity: the plain path, bit for bit
-    desc, c_head = head.head_forward(fused, params, cfg.num_heads, cross)
+    desc, c_head = head.head_forward(pooled, params, cfg.num_heads, cross)
     return desc, ModelTape([o[0] for o in outs], c_head if keep else None, fusion, rows,
                            images.shape[0])
 
 
-def _streams_backward(dfused, caches, fusion: str, params) -> dict:
+def _streams_backward(dpooled, caches, fusion: str, params) -> dict:
     """One sub-batch's parameter gradients, in a dict of its own."""
-    c_vit, c_cnn, c_align, c_dfm = caches
+    c_vit, c_cnn, c_align, c_dfm, c_pool = caches
+    dfused = ops.gem_pool_bwd(dpooled, c_pool)
     grads: dict = {}
     if fusion == "vit-only":
         dfvit, dfres = dfused, None
@@ -172,17 +184,17 @@ def model_backward(ddesc, tape: ModelTape, params, grads):
 
     The tape decides the gradients: a full tape gives every parameter's,
     and a frozen backbone's tape every one but the vit.* weights', bitwise
-    those of the full tape. No image gradient is computed. The head runs
-    once; a repeated image's head rows are summed at `fused` in batch order.
-    The sub-batches run on the pool and their gradients are added in
-    sub-batch order.
+    those of the full tape. No image gradient is computed. The head's
+    attention runs once; a repeated image's head rows are summed at `pooled`
+    in batch order. GeM and the streams run per sub-batch on the pool, and
+    their gradients are added in sub-batch order.
     """
-    dfused = head.head_backward(ddesc, tape.c_head, grads)
+    dpooled = head.head_backward(ddesc, tape.c_head, grads)
     if tape.rows is not None:
-        per_image = np.zeros((tape.n_images,) + dfused.shape[1:])
-        np.add.at(per_image, tape.rows, dfused)
-        dfused = per_image
-    parts = _map(lambda i: _streams_backward(dfused[i * SUB_BATCH:(i + 1) * SUB_BATCH],
+        per_image = np.zeros((tape.n_images,) + dpooled.shape[1:])
+        np.add.at(per_image, tape.rows, dpooled)
+        dpooled = per_image
+    parts = _map(lambda i: _streams_backward(dpooled[i * SUB_BATCH:(i + 1) * SUB_BATCH],
                                              tape.streams[i], tape.fusion, params),
                  range(len(tape.streams)))
     for part in parts:
@@ -190,17 +202,19 @@ def model_backward(ddesc, tape: ModelTape, params, grads):
             acc_grad(grads, name, g)
 
 
-def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64) -> np.ndarray:
-    """Inference descriptors for a stack of images, batched, no cross talk."""
-    outs = [model_forward(images[i:i + batch_size], params, cfg, trainable=set())[0]
+def compute_descriptors(images, params, cfg: ModelConfig, batch_size: int = 64,
+                        prefix=None) -> np.ndarray:
+    """Inference descriptors, batched, no cross talk; prefix is the images' image_prefix."""
+    outs = [model_forward(images[i:i + batch_size], params, cfg, trainable=set(),
+                          prefix=None if prefix is None else prefix[i:i + batch_size])[0]
             for i in range(0, images.shape[0], batch_size)]
     return np.concatenate(outs, axis=0) if outs else np.zeros((0, descriptor_dim(params)))
 
 
 def stream_maps(image, params, cfg: ModelConfig) -> dict:
     """Named per-stream maps for one image, for heatmap export."""
-    _, fvit, fres, omega, fused = _streams_forward(image[None], params, cfg, fusion_of(params),
-                                                   keep=False, backbone=False)
+    _, fvit, fres, omega, fused, _ = _streams_forward(image[None], params, cfg, fusion_of(params),
+                                                      keep=False, backbone=False)
     maps = {"fvit": fvit, "fres": fres, "omega": omega, "fused": fused}
     maps = {name: m[0] for name, m in maps.items() if m is not None}
     bad = [name for name, m in maps.items() if not np.all(np.isfinite(m))]

@@ -150,10 +150,11 @@ class TrainReport:
     timings: list[dict] = field(default_factory=list)
 
 
-def _val_recall(params, cfg, db_records, db_images, q_records, q_images, epoch, out_dir):
-    """Query->database Recall@N and the database descriptors; NanLossError if non-finite."""
-    db_desc = model_mod.compute_descriptors(db_images, params, cfg)
-    q_desc = model_mod.compute_descriptors(q_images, params, cfg)
+def _val_recall(params, cfg, db_records, db, q_records, q, epoch, out_dir):
+    """Query->database Recall@N and the database descriptors; NanLossError if non-finite.
+
+    db and q are each split's (images, prefix)."""
+    db_desc, q_desc = (model_mod.compute_descriptors(x, params, cfg, prefix=p) for x, p in (db, q))
     if not (np.all(np.isfinite(db_desc)) and np.all(np.isfinite(q_desc))):
         if out_dir:
             _dump_nan_diag(out_dir, epoch, None, params)
@@ -172,27 +173,33 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
     records/images: the full manifest with the image stack in record order.
     Emits one checkpoint per epoch plus report rows (epoch 0 = untrained).
     log(report) runs as each epoch ends, after its checkpoint is saved.
+    With the backbone frozen, each image's model_mod.image_prefix is
+    computed once, and the validations and steps start from it.
     """
     rng = np.random.default_rng(train_cfg.seed)
     idx_of = {r.id: i for i, r in enumerate(records)}
-    db_records = [r for r in records if r.split == "database"]
-    q_records = [r for r in records if r.split == "query"]
+    opt = Adam(train_cfg, trainable_names(params, train_cfg.freeze_backbone))
+    db_records, q_records = ([r for r in records if r.split == s] for s in ("database", "query"))
     if not db_records or not q_records:
         raise ManifestError("train: manifest needs both database and query records")
-    db_images = images[[idx_of[r.id] for r in db_records]]
-    q_images = images[[idx_of[r.id] for r in q_records]]
+
+    def split(recs):  # (images, prefix); a prefix only when no vit.* name trains
+        x = images[[idx_of[r.id] for r in recs]]
+        return x, model_mod.image_prefix(x, params, cfg) if train_cfg.freeze_backbone else None
+
+    db, q = split(db_records), split(q_records)
+    db_images, db_prefix = db
+    db_pos = {r.id: i for i, r in enumerate(db_records)}  # triplets hold database records only
 
     report = TrainReport()
     header = {"model": dataclasses.asdict(cfg), "ablation": dataclasses.asdict(ablation)}
 
-    recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records, q_images,
-                                   0, out_dir)
+    recalls, db_desc = _val_recall(params, cfg, db_records, db, q_records, q, 0, out_dir)
     report.rows.append({"epoch": 0, "loss": None, "triplets": None, "skipped": None,
                         **{f"recall@{n}": recalls[n] for n in RECALL_NS}})
     if log:
         log(report)
 
-    opt = Adam(train_cfg, trainable_names(params, train_cfg.freeze_backbone))
     b = train_cfg.batch_size
     k = train_cfg.k_negatives
     for epoch in range(1, train_cfg.epochs + 1):
@@ -204,21 +211,20 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
         for start in range(0, len(triplets), b):
             chunk = triplets[start:start + b]
             nb = len(chunk)
-            a_idx = [idx_of[t.anchor] for t in chunk]
-            p_idx = [idx_of[t.positive] for t in chunk]
-            n_idx = [idx_of[nid] for t in chunk for nid in t.negatives]
+            a_idx = [db_pos[t.anchor] for t in chunk]
+            p_idx = [db_pos[t.positive] for t in chunk]
+            n_idx = [db_pos[nid] for t in chunk for nid in t.negatives]
             # Each distinct image runs the streams once, in first-occurrence
             # order, and rows maps the batch onto them.
             first: dict = {}
             rows = [first.setdefault(i, len(first)) for i in a_idx + p_idx + n_idx]
-            desc_all, tape = model_mod.model_forward(images[list(first)], params, cfg,
-                                                     cross=True, trainable=opt.trainable,
-                                                     rows=np.array(rows))
+            distinct = list(first)
+            desc_all, tape = model_mod.model_forward(
+                db_images[distinct], params, cfg, cross=True, trainable=opt.trainable,
+                rows=np.array(rows), prefix=None if db_prefix is None else db_prefix[distinct])
             ka = np.repeat(np.arange(nb), [len(t.negatives) for t in chunk])
-            a_d = desc_all[ka]
-            p_d = desc_all[nb + ka]
-            n_d = desc_all[2 * nb:]
-            loss, c_loss = triplet_loss_fwd(a_d, p_d, n_d, MARGIN)
+            loss, c_loss = triplet_loss_fwd(desc_all[ka], desc_all[nb + ka], desc_all[2 * nb:],
+                                            MARGIN)
             if not np.isfinite(loss):
                 if out_dir:
                     _dump_nan_diag(out_dir, epoch, start // b, params)
@@ -232,8 +238,7 @@ def train(params: dict, cfg: ModelConfig, ablation: AblationFlags,
             grads: dict = {}
             model_mod.model_backward(ddesc, tape, params, grads)
             opt.step(params, grads)
-        recalls, db_desc = _val_recall(params, cfg, db_records, db_images, q_records,
-                                       q_images, epoch, out_dir)
+        recalls, db_desc = _val_recall(params, cfg, db_records, db, q_records, q, epoch, out_dir)
         epoch_loss = float(np.mean(losses)) if losses else 0.0
         report.rows.append({"epoch": epoch, "loss": epoch_loss, "triplets": len(triplets),
                             "skipped": mined.skipped,

@@ -157,7 +157,23 @@ def vit_block_bwd(dy, cache, grads, weights=True, dh2=None):
     return _layernorm_bwd(dh1, c_ln1, grads, f"{prefix}.ln1", weights) + dx2
 
 
-def vit_forward(images, params, cfg, tape=True, backbone=True):
+def vit_prefix(images, params, cfg):
+    """The image-only part of vit_forward under a frozen backbone, one row per image.
+
+    The patch embedding and each block's frozen path up to the first block
+    with an adapter, whose (x2 + FFN(LN2(x2)), LN2(x2)) it stacks as
+    (B, 2, 1 + G^2, D); without adapters, the whole stream's (B, G, G, D) map.
+    """
+    adapters = [i for i in range(cfg.depth) if f"fsa.block{i}.scale" in params]
+    if not adapters:
+        return vit_forward(images, params, cfg, tape=False)[0]
+    tokens, _ = patch_embed_fwd(images, params, cfg)
+    for i in range(adapters[0] + 1):
+        tokens, h2, _ = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, keep=False)
+    return np.stack([tokens, h2], axis=1)
+
+
+def vit_forward(images, params, cfg, tape=True, backbone=True, prefix=None):
     """Run the transformer stream; returns the patch-token map (B, G, G, D).
 
     Block i adds its fsa.block{i} adapter's residual, if params hold one, as
@@ -165,22 +181,32 @@ def vit_forward(images, params, cfg, tape=True, backbone=True):
     for a training backbone keeps every cache. One for a frozen backbone
     (backbone=False) keeps each adapter's cache and a block's frozen-path
     cache only above an adapter, whose gradient crosses the block; the
-    patch embedding keeps none.
+    patch embedding keeps none. prefix, the images' vit_prefix, stands in
+    for the work it covers, so it needs a frozen backbone.
     """
-    tokens, c_embed = patch_embed_fwd(images, params, cfg)
+    if prefix is not None and tape and backbone:
+        raise ValueError("vit_forward: a prefix holds no cache for a training backbone")
+    g, d = cfg.grid, cfg.embed_dim
+    adapters = [i for i in range(cfg.depth) if f"fsa.block{i}.scale" in params]
+    if prefix is None:
+        tokens, c_embed = patch_embed_fwd(images, params, cfg)
+    elif not adapters:
+        return prefix, (None, [(None, None)] * cfg.depth, (prefix.shape[0], g, d))
     block_caches = []
     above_adapter = False
     for i in range(cfg.depth):
         keep = tape and (backbone or above_adapter)
-        tokens, h2, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, keep)
+        if prefix is not None and i <= adapters[0]:
+            tokens, h2, c_blk = prefix[:, 0], prefix[:, 1], None
+        else:
+            tokens, h2, c_blk = vit_block_fwd(tokens, params, f"vit.block{i}", cfg, keep)
         c_fsa = None
-        if f"fsa.block{i}.scale" in params:
+        if i in adapters:
             ad, c_fsa = fsa.fsa_forward(h2, params, f"fsa.block{i}", cfg)
             tokens = tokens + ad
             above_adapter = True
         block_caches.append((c_blk, c_fsa if tape else None))
     B = tokens.shape[0]
-    g, d = cfg.grid, cfg.embed_dim
     fmap = tokens[:, 1:, :].reshape(B, g, g, d)
     return fmap, (c_embed if tape and backbone else None, block_caches, (B, g, d))
 

@@ -619,6 +619,31 @@ def test_legacy_gain_fields_and_key_biases_load_folded(tmp_path, world, trained)
         assert sha(tmp_path / "legacy" / "h" / ppm.name) == sha(ppm), ppm.name
 
 
+def test_legacy_gain_field_with_nan_is_runtime_error_without_a_warning(tmp_path, world,
+                                                                       trained, capsys):
+    # the finite check runs on the stored tensors, before a (G, G, C) field is folded
+    from lgcn.checkpoint import save_checkpoint
+    params, header = load_checkpoint(trained / "checkpoint-epoch001.ckpt")
+    g = header["model"]["image_size"] // header["model"]["patch_size"]
+    field = np.zeros((g, g, params["fsa.block0.gains_log"].shape[1]))
+    field[1, 2, 0] = np.nan
+    params["fsa.block0.gains_log"] = field
+    ckpt = tmp_path / "nan-field.ckpt"
+    save_checkpoint(ckpt, params, header)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [main(["eval", "--checkpoint", str(ckpt), "--data", str(world),
+                       "--out", str(tmp_path / "r.json")]),
+                 main(["heatmap", "--checkpoint", str(ckpt), "--out", str(tmp_path / "h"),
+                       "--image", str(world / "images" / "p0000_v0.ppm")])]
+    assert codes == [2, 2]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and "1 tensors hold NaN or infinite values" in line
+               for line in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan-field.ckpt"]
+
+
 def test_legacy_static_fusion_config_trains_concat(tmp_path, world):
     cfg = write_config(tmp_path, **{"ablation.static_fusion": True})
     out = tmp_path / "run"

@@ -137,7 +137,7 @@ def test_descriptors_without_tape_match_full_tape_bitwise(rng, fusion, batch):
     assert len(tape.streams) == math.ceil(batch / SUB_BATCH) and tape.c_head is None
     for (c_embed, block_caches, _), *stream_caches in tape.streams:
         assert c_embed is None and block_caches == [(None, None)] * cfg.depth
-        assert stream_caches == [None] * 3
+        assert stream_caches == [None] * 4  # cnn, align, dfm and GeM
 
 
 @pytest.mark.parametrize("fusion", FUSIONS)
@@ -258,9 +258,10 @@ def test_descriptors_do_not_depend_on_the_batch(rng):
         assert got.tobytes() == expected.tobytes(), batch
 
 
-def _step(images, params, cfg, ddesc, rows=None, trainable=None):
+def _step(images, params, cfg, ddesc, rows=None, trainable=None, prefix=None):
     """One training step's descriptors and gradients, cross-image attention on."""
-    desc, tape = model_forward(images, params, cfg, cross=True, trainable=trainable, rows=rows)
+    desc, tape = model_forward(images, params, cfg, cross=True, trainable=trainable, rows=rows,
+                               prefix=prefix)
     grads: dict = {}
     model_backward(ddesc, tape, params, grads)
     return desc, grads, tape
@@ -289,6 +290,51 @@ def test_repeated_images_match_the_gathered_batch(rng, fusion, limit):
     # only the order of the summation differs
     for name, g in plain_grads.items():
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+PREFIX_VARIANTS = {"dfm": AblationFlags(), "concat": AblationFlags(disable_dfm=True),
+                   "vit-only": AblationFlags(disable_cnn_stream=True),
+                   "no-fsa": AblationFlags(disable_fsa=True)}
+
+
+@pytest.mark.parametrize("variant", PREFIX_VARIANTS)
+def test_prefix_keeps_descriptors_and_gradients_bitwise(rng, variant):
+    """Starting from image_prefix is the frozen-backbone path, bit for bit."""
+    cfg = tiny_cfg()
+    params = init_model(cfg, PREFIX_VARIANTS[variant], seed=3)
+    for name in params:  # zero-initialised projections would hide most paths
+        if name.endswith((".fuse_w", "head.attn.wo")):
+            params[name] = rng.normal(size=params[name].shape) * 0.1
+    images = rng.random((SUB_BATCH + 1, 32, 32, 3))  # two sub-batches
+    prefix = model_mod.image_prefix(images, params, cfg)
+    adapters = variant != "no-fsa"
+    assert prefix.shape == ((len(images), 2, 1 + cfg.grid ** 2, cfg.embed_dim) if adapters
+                            else (len(images), cfg.grid, cfg.grid, cfg.embed_dim))
+    for batch in (4, 64):
+        assert compute_descriptors(images, params, cfg, batch, prefix=prefix).tobytes() == \
+            compute_descriptors(images, params, cfg, batch).tobytes()
+    trainable = set(trainable_names(params, freeze_backbone=True))
+    for rows in (None, np.array([3, 0, 8, 1, 0, 2, 4, 3, 5, 6, 7, 0])):
+        ddesc = rng.normal(size=(len(images if rows is None else rows), descriptor_dim(params)))
+        desc, grads, _ = _step(images, params, cfg, ddesc, rows, trainable)
+        started, started_grads, tape = _step(images, params, cfg, ddesc, rows, trainable, prefix)
+        assert started.tobytes() == desc.tobytes()
+        assert list(started_grads) == list(grads)
+        for name, g in grads.items():
+            assert started_grads[name].tobytes() == g.tobytes(), name
+        # the prefix's blocks keep no cache; with adapters, the first keeps its adapter's
+        for (c_embed, block_caches, _), *_ in tape.streams:
+            assert c_embed is None and block_caches[0][0] is None
+            assert (block_caches[0][1] is not None) == adapters
+
+
+def test_prefix_needs_a_frozen_backbone(rng):
+    cfg = tiny_cfg()
+    params = init_model(cfg, AblationFlags(), seed=3)
+    images = rng.random((2, 32, 32, 3))
+    prefix = model_mod.image_prefix(images, params, cfg)
+    with pytest.raises(ValueError, match="training backbone"):
+        model_forward(images, params, cfg, cross=True, prefix=prefix)
 
 
 @pytest.mark.parametrize("fusion", FUSIONS)

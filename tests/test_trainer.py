@@ -377,10 +377,10 @@ def test_streams_see_each_distinct_image_once_per_step(monkeypatch):
             steps.append((kwargs["rows"], []))
         return real_forward(*args, **kwargs)
 
-    def streams(sub, params, cfg, fusion, keep, backbone):
+    def streams(sub, params, cfg, fusion, keep, backbone, prefix=None):
         if keep:  # a training step's tape; validation encodes keep none
             steps[-1][1].append(sub)
-        return real_streams(sub, params, cfg, fusion, keep, backbone)
+        return real_streams(sub, params, cfg, fusion, keep, backbone, prefix)
 
     monkeypatch.setattr(model_mod, "model_forward", forward)
     monkeypatch.setattr(model_mod, "_streams_forward", streams)
@@ -395,3 +395,54 @@ def test_streams_see_each_distinct_image_once_per_step(monkeypatch):
         assert sorted(set(rows.tolist())) == list(range(len(seen)))
         repeats += len(rows) - len(seen)
     assert repeats > 0  # each step: 4 triplets of 6 images over 8 database images
+
+
+def _spy_prefix_and_patch_embed(monkeypatch):
+    """Record the images vit.vit_prefix and vit.patch_embed_fwd see, per call."""
+    from lgcn import vit
+    seen = {"vit_prefix": [], "patch_embed_fwd": []}
+    for name in seen:
+        def spy(images, *args, _name=name, _real=getattr(vit, name), **kwargs):
+            seen[_name].append(images)
+            return _real(images, *args, **kwargs)
+        monkeypatch.setattr(vit, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(disable_fsa=True)],
+                         ids=["adapters", "no-fsa"])
+def test_frozen_run_embeds_each_image_once(monkeypatch, ablation):
+    """vit_prefix sees each image once per run, whatever the epoch count, and
+    no step or validation runs the patch embedding."""
+    cfg = tiny_cfg()
+    records, images = make_world(11, 4, 4)
+    everything = sorted(img.tobytes() for img in images)
+    for epochs in (1, 2):
+        seen = _spy_prefix_and_patch_embed(monkeypatch)
+        params = init_model(cfg, ablation, seed=5)
+        report = trainer.train(params, cfg, ablation, records, images,
+                               TrainConfig(epochs=epochs, batch_size=4, seed=5))
+        assert report.rows[-1]["triplets"]
+        for name, calls in seen.items():
+            assert sorted(img.tobytes() for img in np.concatenate(calls)) == everything, name
+        monkeypatch.undo()
+
+
+def test_training_backbone_computes_no_prefix(monkeypatch):
+    from lgcn import model as model_mod
+    cfg = tiny_cfg()
+    records, images = make_world(11, 4, 4)
+    seen = _spy_prefix_and_patch_embed(monkeypatch)
+    prefixes = []
+    real_forward = model_mod.model_forward
+
+    def forward(*args, **kwargs):
+        prefixes.append(kwargs.get("prefix"))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "model_forward", forward)
+    params = init_model(cfg, AblationFlags(), seed=5)
+    trainer.train(params, cfg, AblationFlags(), records, images,
+                  TrainConfig(epochs=1, batch_size=4, seed=5, freeze_backbone=False))
+    assert seen["vit_prefix"] == [] and len(seen["patch_embed_fwd"]) > 1
+    assert prefixes and all(p is None for p in prefixes)
